@@ -183,14 +183,17 @@ def _resolve(args, config, section: str, name: str, cast, default):
     if config is not None:
         for sec in (section, "kc"):
             if config.has_option(sec, name):
-                raw = config.get(sec, name)
-                try:
-                    return cast(raw)
-                except ValueError:
-                    raise UsageError(
-                        f"config [{sec}] {name} = {raw!r} is not a valid {cast.__name__}"
-                    ) from None
+                return _cast(sec, name, config.get(sec, name), cast)
     return default
+
+
+def _cast(section: str, name: str, raw: str, cast):
+    try:
+        return cast(raw)
+    except ValueError:
+        raise UsageError(
+            f"config [{section}] {name} = {raw!r} is not a valid {cast.__name__}"
+        ) from None
 
 
 def _resolve_seed(args, config, section: str) -> int:
@@ -218,8 +221,22 @@ def _optimizer_config(config, seed: int) -> OptimizerConfig:
             ("min_step", float),
         ):
             if key in sec:
-                kwargs[key] = cast(sec[key])
+                kwargs[key] = _cast("optimizer", key, sec[key], cast)
     return OptimizerConfig(**kwargs)
+
+
+def _optimizer_block(fits) -> list:
+    """The manifest's record of each optimizer run: why and after how much
+    work it stopped. Deterministic, so it sits outside the timestamps."""
+    return [
+        {
+            "stop_reason": fit.stop_reason,
+            "iterations": fit.iterations,
+            "evaluations": fit.evaluations,
+            "grad_norm": fit.grad_norm,
+        }
+        for fit in fits
+    ]
 
 
 def _emit(path: str, manifest) -> None:
@@ -437,6 +454,7 @@ def _cmd_contrast(args, config) -> int:
         phi, psi = train_sgns(
             stats, dim, k, config=opt, activation=activation, neg_exponent=neg_exponent
         )
+        fits = phi.fits
         metrics["loss"] = sgns_expected_loss(
             phi, psi, stats, k, activation=activation, neg_exponent=neg_exponent
         )
@@ -480,10 +498,12 @@ def _cmd_contrast(args, config) -> int:
                 scores = bilinear_scores(f, g, tau)
                 rows = f.rows
                 ctx_rows = g.rows
+                fits = f.fits
             else:
                 scores = cosine_scores(result, tau)
                 rows = result.rows
                 ctx_rows = None
+                fits = result.fits
             metrics["loss"] = expected_simclr_loss(scores, process, batch)
             try:
                 metrics["tv_gap"] = infonce_tv_gap(scores, process, batch)
@@ -502,6 +522,7 @@ def _cmd_contrast(args, config) -> int:
             phi = train_spectral(process, dim, config=opt)
             rows = phi.rows
             ctx_rows = None
+            fits = phi.fits
             metrics["loss"] = spectral_loss(phi, process)
             root = np.sqrt(process.marginal)
             f = root[:, None] * rows
@@ -522,7 +543,10 @@ def _cmd_contrast(args, config) -> int:
             save_matrix_csv(ctx, ctx_rows, comments=[f"items: {items}"])
             flags["context_output"] = ctx
 
-    manifest = make_manifest("contrast", flags, inputs, seed, metrics, started, __version__)
+    manifest = make_manifest(
+        "contrast", flags, inputs, seed, metrics, started, __version__,
+        optimizer=_optimizer_block(fits),
+    )
     _emit(args.output, manifest)
     loss = metrics["loss"]
     print(f"wrote {args.output}; final loss {loss:.6g}")
@@ -574,7 +598,8 @@ def _cmd_eigenfun(args, config) -> int:
         "report": args.report,
     }
     manifest = make_manifest(
-        "eigenfun", flags, [args.kernel, args.p], seed, metrics, started, __version__
+        "eigenfun", flags, [args.kernel, args.p], seed, metrics, started, __version__,
+        optimizer=_optimizer_block(result.fits),
     )
     _emit(args.output, manifest)
     print(
@@ -708,7 +733,7 @@ def main(argv=None) -> int:
     except (UsageError, UnknownSuiteError) as exc:
         print(f"kc: usage error: {exc}", file=sys.stderr)
         return 2
-    except (ParseError, ValueError, OSError) as exc:
+    except (ParseError, ValueError, OSError, RuntimeError) as exc:
         print(f"kc: error: {exc}", file=sys.stderr)
         return 1
 

@@ -254,8 +254,7 @@ def train_nce(
 
     cfg = config or OptimizerConfig(tol=1e-9)
     theta0 = Stream(cfg.seed).uniform(pos.shape[0], -0.1, 0.1)
-    theta, _ = minimize(objective, theta0, cfg)
-    return theta
+    return minimize(objective, theta0, cfg).x
 
 
 def sgns_expected_loss(
@@ -354,11 +353,10 @@ def train_sgns(
         )
         return loss, np.concatenate((dphi.reshape(-1), dpsi.reshape(-1)))
 
-    x0 = np.concatenate((phi0.flat(), psi0.flat()))
-    x, _ = minimize(objective, x0, cfg)
+    fit = minimize(objective, np.concatenate((phi0.flat(), psi0.flat())), cfg)
     return (
-        EmbeddingTable(x[:split].reshape(n, d)),
-        EmbeddingTable(x[split:].reshape(n, d)),
+        EmbeddingTable(fit.x[:split].reshape(n, d), fits=(fit,)),
+        EmbeddingTable(fit.x[split:].reshape(n, d), fits=(fit,)),
     )
 
 
@@ -655,10 +653,10 @@ def train_infonce(
                 ((ds @ g_rows / tau).reshape(-1), (ds.T @ f_rows / tau).reshape(-1))
             )
 
-        x, _ = minimize(objective, np.concatenate((f0.flat(), g0.flat())), cfg)
+        fit = minimize(objective, np.concatenate((f0.flat(), g0.flat())), cfg)
         return (
-            EmbeddingTable(x[:split].reshape(n, d)),
-            EmbeddingTable(x[split:].reshape(n, d)),
+            EmbeddingTable(fit.x[:split].reshape(n, d), fits=(fit,)),
+            EmbeddingTable(fit.x[split:].reshape(n, d), fits=(fit,)),
         )
     if mode == "tied":
         phi0 = EmbeddingTable.random(n, d, cfg.seed)
@@ -675,8 +673,8 @@ def train_infonce(
             dr = (du - unit * (du * unit).sum(axis=1, keepdims=True)) / norms[:, None]
             return loss, dr.reshape(-1)
 
-        x, _ = minimize(objective, phi0.flat(), cfg)
-        return EmbeddingTable(x.reshape(n, d))
+        fit = minimize(objective, phi0.flat(), cfg)
+        return EmbeddingTable(fit.x.reshape(n, d), fits=(fit,))
     raise ValueError(f"unknown mode {mode!r}")
 
 
@@ -729,8 +727,8 @@ def train_spectral(
         loss, grad = spectral_loss_grad(flat.reshape(n, d), process)
         return loss, grad.reshape(-1)
 
-    x, _ = minimize(objective, phi0.flat(), cfg)
-    return EmbeddingTable(x.reshape(n, d))
+    fit = minimize(objective, phi0.flat(), cfg)
+    return EmbeddingTable(fit.x.reshape(n, d), fits=(fit,))
 
 
 # ---------------------------------------------------------------------------
@@ -843,7 +841,7 @@ def linear_probe_error(
         grad = ((probs - onehot) * p[:, None]).T @ phi.rows
         return loss, grad.reshape(-1)
 
-    w, _ = minimize(objective, w0, cfg)
+    w = minimize(objective, w0, cfg).x
     logits = phi.rows @ w.reshape(c, d).T
     predicted = np.argmax(logits, axis=1)
     return float(p[predicted != task.labels].sum())

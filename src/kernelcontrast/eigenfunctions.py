@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoders import MlpEncoder, OptimizerConfig, minimize
+from .encoders import MlpEncoder, OptimizeResult, OptimizerConfig, minimize
 from .kernels import as_sym_array
 from .rng import Stream
 
@@ -38,13 +38,15 @@ class EigenfunctionSet:
     is its quadratic form under the p-weighted operator, the estimate of
     eigenvalue j. ``gaps`` holds the relative separations of consecutive
     estimates, (estimates[j] - estimates[j+1]) / estimates[0]; small gaps
-    warn that the corresponding functions may mix freely.
+    warn that the corresponding functions may mix freely. ``fits[j]`` is
+    the `minimize` result of stage j.
     """
 
     values: np.ndarray
     estimates: np.ndarray
     weights: np.ndarray
     gaps: np.ndarray
+    fits: tuple[OptimizeResult, ...] = ()
 
     @property
     def d(self) -> int:
@@ -119,16 +121,15 @@ def neuralef_batch_loss(tables, batch, kernel_table, sg: bool = True):
     return float(loss), grad.reshape(-1)
 
 
-def _make_stage(m: np.ndarray, d_weights: np.ndarray, prev_hat: list, prev_quad: list):
+def _make_stage(m: np.ndarray, d_weights: np.ndarray, prev: np.ndarray, quad: np.ndarray):
     """Objective for one training stage with earlier functions held fixed.
 
-    The candidate is normalized to unit p-weighted second moment inside
-    the objective, so the raw parameterization is scale-invariant; the
-    gradient accounts for that normalization.
+    ``prev`` holds the earlier normalized functions as rows and ``quad``
+    their quadratic forms. The candidate is normalized to unit p-weighted
+    second moment inside the objective, so the raw parameterization is
+    scale-invariant; the gradient accounts for that normalization.
     """
-    prev = np.asarray(prev_hat) if prev_hat else np.zeros((0, m.shape[0]))
-    quad = np.asarray(prev_quad) if prev_quad else np.zeros(0)
-    mprev = prev @ m if prev.shape[0] else np.zeros((0, m.shape[0]))
+    mprev = prev @ m
 
     def objective(psi):
         norm2 = float(psi @ (d_weights * psi))
@@ -151,6 +152,37 @@ def _make_stage(m: np.ndarray, d_weights: np.ndarray, prev_hat: list, prev_quad:
     return objective
 
 
+def _train_stages(k: np.ndarray, w: np.ndarray, d: int, fit_stage) -> EigenfunctionSet:
+    """The sequential stage loop both trainers share.
+
+    ``fit_stage(j, objective)`` minimizes stage j's objective over the
+    function values on the space and returns (values, OptimizeResult).
+    Each trained function is stored normalized to unit p-weighted second
+    moment, its sign fixed so the largest-magnitude value is positive.
+    """
+    n = k.shape[0]
+    if not 1 <= d <= n:
+        raise ValueError(f"d must be in [1, {n}], got {d}")
+    m = (w[:, None] * k) * w[None, :]
+    m = (m + m.T) / 2.0
+    values = np.zeros((n, d))
+    estimates = np.zeros(d)
+    fits = []
+    for j in range(d):
+        psi, fit = fit_stage(j, _make_stage(m, w, values[:, :j].T, estimates[:j]))
+        hat = psi / np.sqrt(float(psi @ (w * psi)))
+        if hat[np.argmax(np.abs(hat))] < 0:
+            hat = -hat
+        values[:, j] = hat
+        estimates[j] = float(hat @ m @ hat)
+        fits.append(fit)
+    scale = max(estimates[0], np.finfo(float).tiny)
+    gaps = (estimates[:-1] - estimates[1:]) / scale
+    return EigenfunctionSet(
+        values=values, estimates=estimates, weights=w, gaps=gaps, fits=tuple(fits)
+    )
+
+
 def train_eigenfunctions(
     kernel_table, p, d: int, config: OptimizerConfig | None = None
 ) -> EigenfunctionSet:
@@ -169,32 +201,14 @@ def train_eigenfunctions(
         raise ValueError(f"weights shape {w.shape} does not match kernel n={n}")
     if np.any(w <= 0.0):
         raise ValueError("weights must be strictly positive")
-    if not 1 <= d <= n:
-        raise ValueError(f"d must be in [1, {n}], got {d}")
     cfg = config or OptimizerConfig(tol=1e-10, max_iter=20000)
-    m = (w[:, None] * k) * w[None, :]
-    m = (m + m.T) / 2.0
-    values = np.zeros((n, d))
-    estimates = np.zeros(d)
-    prev_hat: list = []
-    prev_quad: list = []
     stream = Stream(cfg.seed)
-    for j in range(d):
-        objective = _make_stage(m, w, prev_hat, prev_quad)
-        psi0 = stream.uniform(n, -1.0, 1.0)
-        psi, _ = minimize(objective, psi0, cfg)
-        hat = psi / np.sqrt(float(psi @ (w * psi)))
-        top = np.argmax(np.abs(hat))
-        if hat[top] < 0:
-            hat = -hat
-        quad = float(hat @ m @ hat)
-        values[:, j] = hat
-        estimates[j] = quad
-        prev_hat.append(hat)
-        prev_quad.append(quad)
-    scale = max(estimates[0], np.finfo(float).tiny)
-    gaps = (estimates[:-1] - estimates[1:]) / scale if d > 1 else np.zeros(0)
-    return EigenfunctionSet(values=values, estimates=estimates, weights=w, gaps=gaps)
+
+    def fit_stage(j, objective):
+        fit = minimize(objective, stream.uniform(n, -1.0, 1.0), cfg)
+        return fit.x, fit
+
+    return _train_stages(k, w, d, fit_stage)
 
 
 def mlp_eigenfunctions(
@@ -217,42 +231,21 @@ def mlp_eigenfunctions(
 
     pts = np.asarray(points, dtype=float)
     w = np.asarray(p, dtype=float)
-    n = pts.shape[0]
-    if w.shape != (n,):
+    if w.shape != (pts.shape[0],):
         raise ValueError("weights must match the number of points")
-    if not 1 <= d <= n:
-        raise ValueError(f"d must be in [1, {n}], got {d}")
     cfg = config or OptimizerConfig(tol=1e-8, max_iter=4000)
-    k = gram(kernel, pts).values
-    m = (w[:, None] * k) * w[None, :]
-    m = (m + m.T) / 2.0
-    values = np.zeros((n, d))
-    estimates = np.zeros(d)
-    prev_hat: list = []
-    prev_quad: list = []
-    for j in range(d):
-        stage = _make_stage(m, w, prev_hat, prev_quad)
+
+    def fit_stage(j, stage):
         net = MlpEncoder((pts.shape[1], *hidden, 1), seed=cfg.seed + j)
 
-        def objective(flat, net=net):
+        def objective(flat):
             net.set_flat(flat)
             out, acts = net.forward_batch(pts)
-            psi = out[:, 0]
-            loss, dpsi = stage(psi)
+            loss, dpsi = stage(out[:, 0])
             return loss, net.backward_batch(acts, dpsi[:, None])
 
-        flat, _ = minimize(objective, net.flat(), cfg)
-        net.set_flat(flat)
-        psi = net.forward_batch(pts)[0][:, 0]
-        hat = psi / np.sqrt(float(psi @ (w * psi)))
-        top = np.argmax(np.abs(hat))
-        if hat[top] < 0:
-            hat = -hat
-        quad = float(hat @ m @ hat)
-        values[:, j] = hat
-        estimates[j] = quad
-        prev_hat.append(hat)
-        prev_quad.append(quad)
-    scale = max(estimates[0], np.finfo(float).tiny)
-    gaps = (estimates[:-1] - estimates[1:]) / scale if d > 1 else np.zeros(0)
-    return EigenfunctionSet(values=values, estimates=estimates, weights=w, gaps=gaps)
+        fit = minimize(objective, net.flat(), cfg)
+        net.set_flat(fit.x)
+        return net.forward_batch(pts)[0][:, 0], fit
+
+    return _train_stages(gram(kernel, pts).values, w, d, fit_stage)

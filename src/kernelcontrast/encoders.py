@@ -30,11 +30,18 @@ __all__ = [
     "forward",
     "grad_check",
     "OptimizerConfig",
+    "OptimizeResult",
     "minimize",
     "DivergenceError",
 ]
 
 INIT_SCALE = 0.1
+
+# The stall rule of `minimize`: this many consecutive accepted steps, each
+# lowering the loss by at most STALL_ULPS ulps of |loss| without a new low
+# in the gradient norm, end the run.
+STALL_WINDOW = 20
+STALL_ULPS = 4
 
 
 class DivergenceError(RuntimeError):
@@ -121,11 +128,27 @@ def cross_entropy(true_class: int, probs) -> float:
     return float(-guarded_log(p[true_class]))
 
 
+@dataclass(frozen=True)
+class OptimizeResult:
+    """What `minimize` returns: the optimum it reached and why it stopped."""
+
+    x: np.ndarray
+    trace: np.ndarray
+    iterations: int
+    evaluations: int
+    grad_norm: float
+    stop_reason: str  # "gradient", "stalled" or "max_iter"
+
+
 @dataclass
 class EmbeddingTable:
-    """One d-dimensional row per item of a finite space."""
+    """One d-dimensional row per item of a finite space.
+
+    ``fits`` holds the `minimize` result that trained the table, if any.
+    """
 
     rows: np.ndarray
+    fits: tuple[OptimizeResult, ...] = ()
 
     def __post_init__(self):
         self.rows = np.asarray(self.rows, dtype=float)
@@ -285,47 +308,88 @@ class OptimizerConfig:
     extra: dict = field(default_factory=dict)
 
 
-def minimize(fun, x0: np.ndarray, config: OptimizerConfig | None = None):
+def minimize(fun, x0: np.ndarray, config: OptimizerConfig | None = None) -> OptimizeResult:
     """Full-batch gradient descent with Armijo backtracking.
 
     Each iteration halves the step until the Armijo sufficient-decrease
     test passes, then doubles the accepted step for the next iteration so
     the search adapts in both directions. The returned trace of accepted
-    losses is monotone nonincreasing by construction. Stops when the
-    gradient norm falls below ``tol``; raises DivergenceError if no step
-    down to ``min_step`` decreases the loss.
+    losses is monotone nonincreasing by construction. Raises
+    DivergenceError if no step down to ``min_step`` decreases the loss.
+
+    The run stops for one of three reasons, recorded as ``stop_reason``:
+
+    * ``"gradient"``: the gradient norm fell to ``tol`` or below;
+    * ``"stalled"``: STALL_WINDOW consecutive accepted steps each lowered
+      the loss by at most STALL_ULPS ulps of |loss| and none of them set a
+      new low for the gradient norm, so the iterate sits at the float
+      floor of the loss. The gradient-record guard keeps the run going
+      while x still moves toward the optimum after the loss looks flat.
+      Near a zero loss the ulp test never fires and ``tol`` decides;
+    * ``"max_iter"``: ``max_iter`` steps were accepted without either.
 
     Returns
     -------
-    (x, trace)
-        Final parameters and the array of loss values at each accepted
-        iterate, starting with the initial loss.
+    OptimizeResult
+        ``x`` the last accepted iterate or, after a stall, the accepted
+        iterate with the smallest gradient norm; ``trace`` the loss at
+        each accepted iterate, starting with the initial loss;
+        ``iterations`` the number of accepted steps (``len(trace) - 1``);
+        ``evaluations`` the number of calls of ``fun``; ``grad_norm`` the
+        gradient norm at ``x``.
     """
     cfg = config or OptimizerConfig()
     x = np.asarray(x0, dtype=float).copy()
     loss, grad = fun(x)
+    evaluations = 1
     if not np.isfinite(loss):
         raise ValueError(f"initial loss is not finite: {loss!r}")
     trace = [float(loss)]
     step = cfg.step_size
-    for _ in range(cfg.max_iter):
-        gnorm2 = float(np.dot(grad, grad))
+    gnorm2 = float(np.dot(grad, grad))
+    best_x, best_gnorm2 = x, gnorm2
+    flat_steps = 0
+    while True:
         if np.sqrt(gnorm2) <= cfg.tol:
+            stop_reason = "gradient"
             break
-        accepted = False
+        if flat_steps >= STALL_WINDOW:
+            stop_reason = "stalled"
+            break
+        if len(trace) - 1 >= cfg.max_iter:
+            stop_reason = "max_iter"
+            break
         while step >= cfg.min_step:
             candidate = x - step * grad
             cand_loss, cand_grad = fun(candidate)
+            evaluations += 1
             if np.isfinite(cand_loss) and cand_loss <= loss - cfg.armijo_c * step * gnorm2:
-                x, loss, grad = candidate, cand_loss, cand_grad
-                trace.append(float(loss))
-                step *= 2.0
-                accepted = True
                 break
             step *= 0.5
-        if not accepted:
+        else:
             raise DivergenceError(
                 f"line search failed at loss {loss!r}: no step above "
                 f"{cfg.min_step:g} decreases it"
             )
-    return x, np.asarray(trace)
+        flat = loss - cand_loss <= STALL_ULPS * np.spacing(abs(loss))
+        x, loss, grad = candidate, cand_loss, cand_grad
+        trace.append(float(loss))
+        step *= 2.0
+        gnorm2 = float(np.dot(grad, grad))
+        if gnorm2 < best_gnorm2:
+            best_x, best_gnorm2 = x, gnorm2
+            flat_steps = 0
+        else:
+            flat_steps = flat_steps + 1 if flat else 0
+    if stop_reason == "stalled":
+        # On the float floor the loss no longer ranks iterates; the
+        # gradient norm still does.
+        x, gnorm2 = best_x, best_gnorm2
+    return OptimizeResult(
+        x=x,
+        trace=np.asarray(trace),
+        iterations=len(trace) - 1,
+        evaluations=evaluations,
+        grad_norm=float(np.sqrt(gnorm2)),
+        stop_reason=stop_reason,
+    )

@@ -2,8 +2,10 @@
 
 Every run that writes an output also writes a RunManifest JSON next to
 it: tool version, the subcommand and its resolved flags, a hash of the
-effective configuration, sha256 digests of the inputs, the seed, and a
-metric map. Timestamps live in their own field so that everything else
+effective configuration, sha256 digests of the inputs, the seed, a
+metric map, and one record per optimizer run (stop reason, iterations,
+evaluations, final gradient norm; empty for commands that train
+nothing). Timestamps live in their own field so that everything else
 in the file is reproducible byte for byte; diffing two manifests after
 dropping "timestamps" answers "same run?" directly.
 """
@@ -50,6 +52,7 @@ class RunManifest:
     seed: int
     metrics: dict
     timestamps: dict
+    optimizer: list
 
     def to_json(self) -> str:
         return json.dumps(dataclasses.asdict(self), sort_keys=True, indent=2) + "\n"
@@ -63,6 +66,7 @@ def make_manifest(
     metrics: dict,
     started: float,
     version: str,
+    optimizer: list | tuple = (),
 ) -> RunManifest:
     finished = time.time()
     return RunManifest(
@@ -75,6 +79,7 @@ def make_manifest(
         seed=int(seed),
         metrics={k: _jsonable(v) for k, v in metrics.items()},
         timestamps={"started": started, "finished": finished},
+        optimizer=list(optimizer),
     )
 
 

@@ -75,6 +75,12 @@ def _check(name: str, observed: float, tolerance: float) -> dict:
     }
 
 
+def _max_iter_check(fits) -> dict:
+    """Every optimizer run must stop converged, never at its budget."""
+    hits = sum(fit.stop_reason == "max_iter" for fit in fits)
+    return _check("runs that hit max_iter", hits, 0)
+
+
 def _report(suite: str, seed: int, checks: list) -> dict:
     return {
         "suite": suite,
@@ -95,6 +101,7 @@ def _suite_sgns_pmi(seed: int) -> dict:
     stats = corpus_stats(tokens, window=1)
     cfg = OptimizerConfig(seed=seed, tol=1e-11, max_iter=30000)
     checks = []
+    fits = []
     for k, activation in ((1.0, "sigmoid"), (4.0, "sigmoid"), (4.0, "k_sigmoid")):
         phi, psi = train_sgns(stats, d=stats.space.n, k=k, config=cfg, activation=activation)
         product = phi.rows @ psi.rows.T
@@ -102,11 +109,17 @@ def _suite_sgns_pmi(seed: int) -> dict:
         target = shifted_pmi_matrix(stats, shift)
         dev = float(np.abs(product - target).max())
         checks.append(_check(f"k={k:g} {activation} max PMI deviation", dev, 1e-3))
+        fits += phi.fits
+    checks.append(_max_iter_check(fits))
     return _report("sgns-pmi", seed, checks)
 
 
 def _suite_classification(seed: int) -> dict:
-    """NCE's fitted score equals the log count ratio, shifted per activation."""
+    """NCE's fitted score equals the log count ratio, shifted per activation.
+
+    This suite has no "runs that hit max_iter" check: `train_nce` returns
+    the bare score vector, not the optimizer result.
+    """
     pos = np.array([6.0, 2.0, 4.0])
     neg = np.array([4.0, 12.0, 8.0])  # k positives' worth of noise per item set
     k = 2.0
@@ -170,6 +183,7 @@ def _suite_spectral_ey(seed: int) -> dict:
         _check("loss minus factor error, relative variance", rel_var, 1e-18),
         _check("full-rank F F^T vs normalized pair matrix", full_err, 1e-3),
         _check("rank-1 F F^T vs Eckart-Young factor", rank1_err, 1e-3),
+        _max_iter_check(full.fits + rank1.fits),
     ]
     return _report("spectral-ey", seed, checks)
 
@@ -192,6 +206,7 @@ def _suite_infonce_kplus(seed: int) -> dict:
             np.abs(model_cond - true_cond).max(),
             1e-2,
         ),
+        _max_iter_check(f.fits),
     ]
     return _report("infonce-kplus", seed, checks)
 
@@ -334,6 +349,7 @@ def _suite_eigenfun(seed: int) -> dict:
         _check("eigenvalue estimate deviation", est_dev, 1e-2),
         _check("weighted cosine deficit", cos_deficit, 1e-2),
         _check("estimate ordering regression", regression, 1e-3),
+        _max_iter_check(result.fits),
     ]
     return _report("eigenfun", seed, checks)
 

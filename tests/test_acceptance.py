@@ -17,6 +17,7 @@ from contextlib import contextmanager
 import numpy as np
 
 from conftest import ACCEPTANCE_LINES
+from kernelcontrast import contrastive, eigenfunctions, encoders
 from kernelcontrast.cli import main as cli_main
 from kernelcontrast.contrastive import (
     bilinear_scores,
@@ -71,7 +72,7 @@ from kernelcontrast.manifold import (
     shortest_paths,
 )
 from kernelcontrast.rng import Stream
-from kernelcontrast.verify import SUITE_NAMES
+from kernelcontrast.verify import SUITE_NAMES, run_suite
 
 
 @contextmanager
@@ -568,3 +569,23 @@ def test_criterion_12_verify_reports_are_byte_identical(tmp_path):
             assert cli_main(["verify", suite, "--output", str(second)]) == 0
             assert first.read_bytes() == second.read_bytes(), suite
         info["detail"] = f"{len(SUITE_NAMES)} suites, 2 runs apiece"
+
+
+def test_verify_trainers_stop_converged(monkeypatch):
+    """Every optimizer run in the training suites stops because it converged
+    (gradient or stall), never at its iteration budget."""
+    fits = []
+
+    def recording(*args, **kwargs):
+        fit = encoders.minimize(*args, **kwargs)
+        fits.append(fit)
+        return fit
+
+    monkeypatch.setattr(contrastive, "minimize", recording)
+    monkeypatch.setattr(eigenfunctions, "minimize", recording)
+    for suite in ("sgns-pmi", "infonce-kplus", "spectral-ey", "eigenfun"):
+        report = run_suite(suite, 0)
+        assert report["passed"], suite
+        assert report["checks"][-1]["name"] == "runs that hit max_iter"
+    assert len(fits) == 3 + 1 + 2 + 3
+    assert {fit.stop_reason for fit in fits} <= {"gradient", "stalled"}

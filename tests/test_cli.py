@@ -233,6 +233,46 @@ def test_contrast_sgns_without_corpus_is_usage_error(tmp_path):
     assert main(["contrast", "sgns", "--output", str(tmp_path / "o.csv")]) == 2
 
 
+def test_contrast_manifest_records_each_optimizer_run(tmp_path):
+    proc = _write_process(tmp_path / "p.json", **TWO_STATE)
+    manifests = []
+    for name in ("a.csv", "b.csv"):
+        out = str(tmp_path / name)
+        assert main(["contrast", "spectral", "--process", proc, "--dim", "2",
+                     "--output", out]) == 0
+        manifests.append(load_manifest(out + ".manifest.json"))
+    (run,) = manifests[0]["optimizer"]
+    assert set(run) == {"stop_reason", "iterations", "evaluations", "grad_norm"}
+    assert run["stop_reason"] in ("gradient", "stalled")
+    assert run["evaluations"] > run["iterations"] > 0
+    assert manifests[0]["optimizer"] == manifests[1]["optimizer"]
+
+
+def test_bad_optimizer_config_value_is_usage_error(tmp_path, capsys):
+    corpus = tmp_path / "c.txt"
+    corpus.write_text("a b a b\n")
+    cfg = tmp_path / "kc.ini"
+    cfg.write_text("[optimizer]\nmax_iter = lots\n")
+    code = main(["--config", str(cfg), "contrast", "sgns", "--corpus", str(corpus),
+                 "--output", str(tmp_path / "o.csv")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "usage error" in err and "max_iter" in err
+
+
+def test_divergence_is_error_1(tmp_path, capsys):
+    """A line search that cannot start (min_step above step_size) raises
+    DivergenceError; the CLI reports it in one line instead of a traceback."""
+    proc = _write_process(tmp_path / "p.json", **TWO_STATE)
+    cfg = tmp_path / "kc.ini"
+    cfg.write_text("[optimizer]\nmin_step = 2.0\n")
+    code = main(["--config", str(cfg), "contrast", "spectral", "--process", proc,
+                 "--output", str(tmp_path / "o.csv")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("kc: error: line search failed") and err.count("\n") == 1
+
+
 # --------------------------------------------------------------- eigenfun
 
 
@@ -251,6 +291,9 @@ def test_eigenfun_reports_oracle_agreement(tmp_path):
     assert min(cmp["weighted_cosines"]) > 1.0 - 1e-6
     funcs = load_matrix_csv(out)
     assert funcs.shape == (3, 2)
+    stages = load_manifest(out + ".manifest.json")["optimizer"]
+    assert len(stages) == 2
+    assert all(s["stop_reason"] in ("gradient", "stalled") for s in stages)
 
 
 # ---------------------------------------------------------------- analyze
@@ -303,6 +346,14 @@ def test_verify_report_is_byte_identical_across_runs(tmp_path):
     assert main(["verify", "classification", "--output", a]) == 0
     assert main(["verify", "classification", "--output", b]) == 0
     assert open(a, "rb").read() == open(b, "rb").read()
+
+
+def test_verify_suite_construction_error_is_error_1(capsys):
+    """At seed 2 the eigenfun suite's kernel has too small a spectral gap and
+    the suite refuses to build with a RuntimeError."""
+    assert main(["verify", "eigenfun", "--seed", "2"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("kc: error: suite construction error") and err.count("\n") == 1
 
 
 def test_verify_unknown_suite_is_usage_error(capsys):

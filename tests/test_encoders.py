@@ -198,9 +198,33 @@ def test_minimize_quadratic_reaches_analytic_optimum():
         d = x - c
         return 0.5 * float(d @ a @ d), a @ d
 
-    x, trace = minimize(fun, np.zeros(2), OptimizerConfig(tol=1e-12))
-    np.testing.assert_allclose(x, c, atol=1e-10)
-    assert trace[-1] < 1e-20
+    fit = minimize(fun, np.zeros(2), OptimizerConfig(tol=1e-12))
+    np.testing.assert_allclose(fit.x, c, atol=1e-10)
+    assert fit.trace[-1] < 1e-20
+    # the loss heads to zero, where no ulp test can fire: only tol stops it
+    assert fit.stop_reason == "gradient"
+    assert fit.grad_norm <= 1e-12
+    assert fit.iterations == len(fit.trace) - 1
+
+
+def test_minimize_stalls_at_the_float_floor_of_an_offset_loss():
+    """1 + (x - c)' A (x - c) flattens at 1 long before the gradient reaches
+    a tolerance of 1e-14, so the run ends as stalled, close to c."""
+    a = np.array([[3.0, 1.0], [1.0, 2.0]])
+    c = np.array([1.5, -0.5])
+
+    def fun(x):
+        d = x - c
+        return 1.0 + float(d @ a @ d), 2.0 * a @ d
+
+    fit = minimize(fun, np.zeros(2), OptimizerConfig(tol=1e-14, max_iter=10000))
+    assert fit.stop_reason == "stalled"
+    assert fit.iterations < 1000
+    assert fit.grad_norm > 1e-14
+    # x is the lowest-gradient iterate and grad_norm is measured there
+    assert fit.grad_norm == np.sqrt(np.dot(fun(fit.x)[1], fun(fit.x)[1]))
+    np.testing.assert_allclose(fit.x, c, atol=1e-6)
+    assert fit.trace[-1] == pytest.approx(1.0, abs=1e-14)
 
 
 def test_minimize_trace_is_monotone():
@@ -214,9 +238,41 @@ def test_minimize_trace_is_monotone():
         )
         return float(loss), g
 
-    _, trace = minimize(rosen_like, np.array([-1.0, 1.0]), OptimizerConfig(max_iter=500))
-    assert np.all(np.diff(trace) <= 0.0)
-    assert trace[0] > trace[-1]
+    fit = minimize(rosen_like, np.array([-1.0, 1.0]), OptimizerConfig(max_iter=500))
+    assert np.all(np.diff(fit.trace) <= 0.0)
+    assert fit.trace[0] > fit.trace[-1]
+
+
+def test_minimize_counts_every_objective_call():
+    calls = {"n": 0}
+
+    def fun(x):
+        calls["n"] += 1
+        d = x - 2.0
+        return 1.0 + float(d @ d) + 0.1 * float(d[0] ** 4), 2.0 * d + np.array(
+            [0.4 * d[0] ** 3, 0.0]
+        )
+
+    fit = minimize(fun, np.array([0.0, 5.0]), OptimizerConfig(tol=1e-14))
+    assert fit.evaluations == calls["n"]
+    assert fit.evaluations > fit.iterations > 0
+
+
+def test_minimize_is_deterministic():
+    def fun(x):
+        d = x - np.array([0.3, -1.2, 2.0])
+        return 1.0 + float(d @ d) + float(np.sin(x).sum()) * 0.1, 2.0 * d + 0.1 * np.cos(x)
+
+    first = minimize(fun, np.zeros(3), OptimizerConfig(tol=1e-14))
+    second = minimize(fun, np.zeros(3), OptimizerConfig(tol=1e-14))
+    np.testing.assert_array_equal(first.x, second.x)
+    np.testing.assert_array_equal(first.trace, second.trace)
+    assert (first.iterations, first.evaluations, first.grad_norm, first.stop_reason) == (
+        second.iterations,
+        second.evaluations,
+        second.grad_norm,
+        second.stop_reason,
+    )
 
 
 def test_minimize_starts_trace_with_initial_loss():
@@ -224,8 +280,7 @@ def test_minimize_starts_trace_with_initial_loss():
         return float(x @ x), 2.0 * x
 
     x0 = np.array([2.0, 0.0])
-    _, trace = minimize(fun, x0)
-    assert trace[0] == pytest.approx(4.0)
+    assert minimize(fun, x0).trace[0] == pytest.approx(4.0)
 
 
 def test_minimize_rejects_nonfinite_start():
@@ -257,5 +312,17 @@ def test_minimize_respects_max_iter():
         calls["n"] += 1
         return float(x @ x), 2.0 * x
 
-    _, trace = minimize(fun, np.array([1e6]), OptimizerConfig(max_iter=3, tol=0.0))
-    assert len(trace) <= 4
+    fit = minimize(fun, np.array([1e6]), OptimizerConfig(max_iter=3, tol=0.0))
+    assert len(fit.trace) <= 4
+
+
+def test_minimize_tiny_budget_stops_as_max_iter():
+    scale = np.array([1.0, 10.0])
+
+    def fun(x):
+        return 0.5 * float(x @ (scale * x)), scale * x
+
+    fit = minimize(fun, np.array([1.0, 1.0]), OptimizerConfig(max_iter=3))
+    assert fit.stop_reason == "max_iter"
+    assert fit.iterations == 3 and len(fit.trace) == 4
+    assert fit.grad_norm > OptimizerConfig().tol
