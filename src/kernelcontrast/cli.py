@@ -239,6 +239,16 @@ def _optimizer_block(fits) -> list:
     ]
 
 
+def _warn_max_iter(fits) -> None:
+    """One stderr line when a run used its whole budget; the exit stays 0."""
+    hits = sum(fit.stop_reason == "max_iter" for fit in fits)
+    if hits:
+        print(
+            f"kc: warning: {hits} of {len(fits)} optimizer runs stopped at max_iter",
+            file=sys.stderr,
+        )
+
+
 def _emit(path: str, manifest) -> None:
     write_manifest(path + ".manifest.json", manifest)
 
@@ -548,6 +558,7 @@ def _cmd_contrast(args, config) -> int:
         optimizer=_optimizer_block(fits),
     )
     _emit(args.output, manifest)
+    _warn_max_iter(fits)
     loss = metrics["loss"]
     print(f"wrote {args.output}; final loss {loss:.6g}")
     return 0
@@ -602,6 +613,7 @@ def _cmd_eigenfun(args, config) -> int:
         optimizer=_optimizer_block(result.fits),
     )
     _emit(args.output, manifest)
+    _warn_max_iter(result.fits)
     print(
         f"wrote {args.output}; max eigenvalue deviation "
         f"{comparison['max_estimate_deviation']:.3e}"

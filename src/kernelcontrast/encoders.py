@@ -10,7 +10,7 @@ need no knowledge of parameter structure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -305,7 +305,6 @@ class OptimizerConfig:
     seed: int = 0
     armijo_c: float = 1e-4
     min_step: float = 1e-18
-    extra: dict = field(default_factory=dict)
 
 
 def minimize(fun, x0: np.ndarray, config: OptimizerConfig | None = None) -> OptimizeResult:

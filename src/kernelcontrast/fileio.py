@@ -33,8 +33,8 @@ class ParseError(ValueError):
     """A file failed to parse; the message names the file and location."""
 
 
-def _format_row(row) -> str:
-    return ",".join(repr(float(v)) for v in row)
+def _format_row(row: np.ndarray) -> str:
+    return ",".join(map(repr, row.tolist()))
 
 
 def save_matrix_csv(path: str, matrix, comments: list | None = None) -> None:

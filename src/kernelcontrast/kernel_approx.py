@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import KernelSpec, gram, jacobi_eigh, kernel_eval
+from .kernels import KernelSpec, eigh, gram, kernel_eval
 from .rng import Stream
 
 __all__ = [
@@ -69,7 +69,7 @@ def nystrom_fit(kernel: KernelSpec, landmarks, d: int) -> NystromModel:
     if not 1 <= d <= m:
         raise ValueError(f"rank d must be in [1, {m}], got {d}")
     g = gram(kernel, landmarks)
-    eig = jacobi_eigh(g)
+    eig = eigh(g)
     tol = 1e-8 * max(1.0, abs(float(np.trace(g.values))))
     if eig.eigenvalues.min(initial=0.0) < -tol:
         raise ValueError(

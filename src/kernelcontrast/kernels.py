@@ -1,11 +1,12 @@
-"""Kernels on finite spaces, Gram matrices, and a self-contained eigensolver.
+"""Kernels on finite spaces, Gram matrices, and two symmetric eigensolvers.
 
 The package treats a kernel as a named recipe (`KernelSpec`) rather than a
 bare callable, so Gram construction, PSD checks, and serialization can
-dispatch on the kind. Eigendecompositions everywhere in the library go
-through `jacobi_eigh`, a cyclic Jacobi iteration with a fixed sweep order
-and sign convention, which makes spectra reproducible to the bit across
-runs and platforms.
+dispatch on the kind. The toolbox (PCA, MDS, ISOMAP, LLE, Laplacian
+eigenmaps, Nystrom) decomposes with `eigh`, which is LAPACK. The oracles
+(`mercer_decompose`, `low_rank_factor`, `is_psd`) use `jacobi_eigh`, a
+hand-rolled cyclic Jacobi iteration accurate to high relative precision,
+so no toolbox result is checked by its own eigensolver.
 """
 
 from __future__ import annotations
@@ -24,10 +25,10 @@ __all__ = [
     "gaussian_kernel",
     "table_kernel",
     "exp_pmi_kernel",
-    "positive_pair_kernel",
     "kernel_eval",
     "gram",
     "is_psd",
+    "eigh",
     "jacobi_eigh",
     "mercer_decompose",
 ]
@@ -110,18 +111,33 @@ class EigenDecomposition:
         return (v * self.eigenvalues) @ v.T
 
 
-def _fix_signs(vectors: np.ndarray) -> np.ndarray:
-    """Flip each column so its largest-magnitude entry is positive.
+def _finish(eigenvalues: np.ndarray, vectors: np.ndarray) -> EigenDecomposition:
+    """Both solvers' output convention: eigenvalues in stable descending
+    order, each eigenvector column flipped so its largest-magnitude entry is
+    positive. Ties in magnitude resolve to the lowest index via argmax, which
+    keeps the convention deterministic for symmetric entry patterns."""
+    order = np.argsort(-eigenvalues, kind="stable")
+    vectors = vectors[:, order]
+    peaks = vectors[np.argmax(np.abs(vectors), axis=0), np.arange(vectors.shape[1])]
+    vectors[:, peaks < 0] *= -1.0
+    return EigenDecomposition(eigenvalues[order], vectors)
 
-    Ties in magnitude resolve to the lowest index via argmax, which makes
-    the convention deterministic even for eigenvectors with symmetric
-    entry patterns.
-    """
-    idx = np.argmax(np.abs(vectors), axis=0)
-    flip = vectors[idx, np.arange(vectors.shape[1])] < 0
-    out = vectors.copy()
-    out[:, flip] *= -1.0
-    return out
+
+def _solver_input(matrix) -> np.ndarray:
+    """The exactly symmetric, finite array both eigensolvers start from."""
+    a = as_sym_array(matrix)
+    if not np.isfinite(a).all():
+        raise ValueError("cannot eigendecompose a matrix with non-finite entries")
+    return a
+
+
+def eigh(matrix) -> EigenDecomposition:
+    """LAPACK eigendecomposition of a symmetric matrix, for the toolbox.
+
+    Input check, order and signs as in `jacobi_eigh`, which it matches up to
+    rounding and the basis chosen inside a repeated eigenvalue."""
+    eigenvalues, vectors = np.linalg.eigh(_solver_input(matrix))
+    return _finish(eigenvalues, vectors)
 
 
 def jacobi_eigh(matrix, tol: float = 1e-12, max_sweeps: int = 60) -> EigenDecomposition:
@@ -142,23 +158,20 @@ def jacobi_eigh(matrix, tol: float = 1e-12, max_sweeps: int = 60) -> EigenDecomp
         Safety cap on full sweeps; cyclic Jacobi converges quadratically
         so realistic inputs finish in far fewer.
     """
-    a = as_sym_array(matrix).copy()
+    a = _solver_input(matrix).copy()
     n = a.shape[0]
     v = np.eye(n)
-    if n == 1:
-        return EigenDecomposition(a[0, :1].copy(), np.ones((1, 1)))
+    threshold = tol * float(np.linalg.norm(a))
 
-    total = float(np.linalg.norm(a))
-    if total == 0.0:
-        return EigenDecomposition(np.zeros(n), np.eye(n))
-    threshold = tol * total
-
-    converged = False
-    for _ in range(max_sweeps):
+    for sweep in range(max_sweeps + 1):
         off = np.sqrt(2.0 * np.square(np.triu(a, 1)).sum())
         if off <= threshold:
-            converged = True
             break
+        if sweep == max_sweeps:
+            raise RuntimeError(
+                f"Jacobi iteration failed to converge in {max_sweeps} sweeps "
+                f"(n={n}, residual {off:.3e} > {threshold:.3e})"
+            )
         for p in range(n - 1):
             for q in range(p + 1, n):
                 apq = a[p, q]
@@ -188,18 +201,7 @@ def jacobi_eigh(matrix, tol: float = 1e-12, max_sweeps: int = 60) -> EigenDecomp
                 vec_p = v[:, p].copy()
                 v[:, p] = c * vec_p - s * v[:, q]
                 v[:, q] = s * vec_p + c * v[:, q]
-    if not converged:
-        off = np.sqrt(2.0 * np.square(np.triu(a, 1)).sum())
-        if off > threshold:
-            raise RuntimeError(
-                f"Jacobi iteration failed to converge in {max_sweeps} sweeps "
-                f"(n={n}, residual {off:.3e} > {threshold:.3e})"
-            )
-
-    order = np.argsort(-np.diag(a), kind="stable")
-    eigenvalues = np.diag(a)[order].copy()
-    eigenvectors = _fix_signs(v[:, order])
-    return EigenDecomposition(eigenvalues, eigenvectors)
+    return _finish(np.diag(a), v)
 
 
 @dataclass
@@ -305,20 +307,6 @@ def exp_pmi_kernel(joint, marg_row, marg_col) -> KernelSpec:
     return KernelSpec(kind="table", table=symmetrize(ratio), meta={"source": "exp_pmi"})
 
 
-def positive_pair_kernel(process) -> KernelSpec:
-    """Table kernel p+(x, z) / (p(x) p(z)) taken from a pair process.
-
-    Accepts any object exposing ``k_plus`` as a SymMatrix or array (the
-    contrastive module's PairProcess does). PSD holds by construction:
-    the ratio is a Gram matrix of conditional rows in L2(1/p).
-    """
-    k_plus = getattr(process, "k_plus", None)
-    if k_plus is None:
-        raise TypeError("positive_pair_kernel needs an object with a k_plus table")
-    values = k_plus.values if isinstance(k_plus, SymMatrix) else as_sym_array(k_plus)
-    return KernelSpec(kind="table", table=values, meta={"source": "positive_pair"})
-
-
 def kernel_eval(kernel: KernelSpec, x, z) -> float:
     """Evaluate a kernel at one pair of points.
 
@@ -407,14 +395,15 @@ def mercer_decompose(kernel_table, weights) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("weights must be strictly positive")
     if abs(w.sum() - 1.0) > 1e-9:
         raise ValueError(f"weights sum to {w.sum()!r}, not 1")
-    tol = 1e-9 * max(1.0, abs(float(np.trace(k))))
-    eig_check = jacobi_eigh(k)
-    if eig_check.eigenvalues.min(initial=0.0) < -tol:
-        raise ValueError(
-            f"kernel table is not PSD: min eigenvalue {eig_check.eigenvalues.min():.3e}"
-        )
     root = np.sqrt(w)
     m = symmetrize(k * np.outer(root, root))
     eig = jacobi_eigh(m)
+    # Ostrowski: lambda_i(D^(1/2) K D^(1/2)) = theta_i lambda_i(K) with theta_i
+    # >= min(w), so this gate rejects every table that K's own spectrum would.
+    tol = 1e-9 * max(1.0, abs(float(np.trace(k)))) * float(w.min())
+    if eig.eigenvalues.min(initial=0.0) < -tol:
+        raise ValueError(
+            f"kernel table is not PSD: min weighted eigenvalue {eig.eigenvalues.min():.3e}"
+        )
     functions = eig.eigenvectors / root[:, None]
     return eig.eigenvalues, functions

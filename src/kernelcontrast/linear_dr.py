@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import SymMatrix, as_sym_array, jacobi_eigh, symmetrize
+from .kernels import SymMatrix, as_sym_array, eigh, jacobi_eigh, symmetrize
 
 __all__ = [
     "PcaModel",
@@ -75,7 +75,7 @@ def pca_fit(data: np.ndarray, d: int) -> PcaModel:
     mean = x.mean(axis=0)
     centered = x - mean
     cov = symmetrize(centered.T @ centered / n)
-    eig = jacobi_eigh(cov)
+    eig = eigh(cov)
     return PcaModel(
         mean=mean, basis=eig.eigenvectors[:, :d], eigenvalues=eig.eigenvalues[:d]
     )
@@ -128,7 +128,7 @@ def mds_embed(distances, d: int) -> MdsResult:
     if not 1 <= d <= n:
         raise ValueError(f"d must be in [1, {n}], got {d}")
     g = double_center(SymMatrix.from_exact(dist * dist.T)).values
-    eig = jacobi_eigh(g)
+    eig = eigh(g)
     clamped = int((eig.eigenvalues < 0.0).sum())
     positive = int((eig.eigenvalues > 0.0).sum())
     if positive < d:

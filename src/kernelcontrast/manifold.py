@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kernels import SymMatrix, jacobi_eigh, symmetrize
+from .kernels import SymMatrix, eigh, symmetrize
 from .rng import Stream
 
 __all__ = [
@@ -312,7 +312,7 @@ def lle_embed(weights: np.ndarray, d: int) -> np.ndarray:
         raise ValueError(f"d must be in [1, {n - 1}], got {d}")
     iw = np.eye(n) - w
     m = symmetrize(iw.T @ iw)
-    eig = jacobi_eigh(m)
+    eig = eigh(m)
     lam = eig.eigenvalues[::-1]
     vec = eig.eigenvectors[:, ::-1]
     zero_tol = 1e-10 * max(1.0, float(lam[-1]))
@@ -365,7 +365,7 @@ def laplacian_eigenmaps(
     gl = graph_laplacian(g)
     root = np.sqrt(gl.degrees)
     reduced = symmetrize(gl.lap / np.outer(root, root))
-    eig = jacobi_eigh(reduced)
+    eig = eigh(reduced)
     lam = eig.eigenvalues[::-1]
     vec = eig.eigenvectors[:, ::-1]
     zero_tol = 1e-10 * max(1.0, float(lam[-1]))

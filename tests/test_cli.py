@@ -65,6 +65,17 @@ def test_reduce_parse_error_exits_1(tmp_path, capsys):
     assert "pts.csv:1" in err
 
 
+def test_reduce_non_finite_input_exits_1_without_output(tmp_path, capsys):
+    src = tmp_path / "pts.csv"
+    src.write_text("1.0,2.0\nnan,0.5\n3.0,1.0\n")
+    out = tmp_path / "emb.csv"
+    code = main(["reduce", "--method", "pca", "--dim", "1",
+                 "--input", str(src), "--output", str(out)])
+    assert code == 1
+    assert "non-finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_reduce_lle_without_knn_is_usage_error(tmp_path, capsys):
     src = tmp_path / "pts.csv"
     save_matrix_csv(str(src), np.random.default_rng(0).normal(size=(8, 2)))
@@ -248,6 +259,26 @@ def test_contrast_manifest_records_each_optimizer_run(tmp_path):
     assert manifests[0]["optimizer"] == manifests[1]["optimizer"]
 
 
+def test_budget_exhaustion_warns_but_exits_0(tmp_path, capsys):
+    """A run that stops at max_iter gets one stderr warning; exit stays 0."""
+    cfg = tmp_path / "kc.ini"
+    cfg.write_text("[optimizer]\nmax_iter = 1\n")
+    corpus = tmp_path / "c.txt"
+    corpus.write_text("a b a b a\n")
+    assert main(["--config", str(cfg), "contrast", "sgns", "--corpus", str(corpus),
+                 "--dim", "1", "--output", str(tmp_path / "s.csv")]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["kc: warning: 1 of 1 optimizer runs stopped at max_iter"]
+    kern = tmp_path / "k.csv"
+    save_sym_csv(str(kern), np.array([[2.0, 0.5], [0.5, 1.0]]))
+    pfile = tmp_path / "p.csv"
+    pfile.write_text("0.5,0.5\n")
+    assert main(["--config", str(cfg), "eigenfun", "--kernel", str(kern),
+                 "--p", str(pfile), "--dim", "2", "--output", str(tmp_path / "f.csv")]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["kc: warning: 2 of 2 optimizer runs stopped at max_iter"]
+
+
 def test_bad_optimizer_config_value_is_usage_error(tmp_path, capsys):
     corpus = tmp_path / "c.txt"
     corpus.write_text("a b a b\n")
@@ -276,7 +307,7 @@ def test_divergence_is_error_1(tmp_path, capsys):
 # --------------------------------------------------------------- eigenfun
 
 
-def test_eigenfun_reports_oracle_agreement(tmp_path):
+def test_eigenfun_reports_oracle_agreement(tmp_path, capsys):
     kern = tmp_path / "k.csv"
     g = np.array([[2.0, 0.5, 0.2], [0.5, 1.5, 0.3], [0.2, 0.3, 1.0]])
     save_sym_csv(str(kern), g)
@@ -294,6 +325,7 @@ def test_eigenfun_reports_oracle_agreement(tmp_path):
     stages = load_manifest(out + ".manifest.json")["optimizer"]
     assert len(stages) == 2
     assert all(s["stop_reason"] in ("gradient", "stalled") for s in stages)
+    assert "warning" not in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------- analyze

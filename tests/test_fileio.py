@@ -25,6 +25,20 @@ def test_matrix_csv_roundtrip_is_exact(tmp_path):
     np.testing.assert_array_equal(back, m)
 
 
+def test_matrix_csv_bytes_match_per_scalar_repr(tmp_path):
+    """The writer's bytes equal repr(float(v)) per entry on edge values."""
+    tiny = np.nextafter(0.0, 1.0)
+    m = np.array([
+        [-0.0, 0.0, tiny, -tiny, 2.2250738585072014e-308 / 3.0],
+        [1e308, -1e308, np.nan, np.inf, -np.inf],
+        [0.1, 1.0 / 3.0, 1e-5, 1e16, 123456789.0],
+    ])
+    path = tmp_path / "m.csv"
+    save_matrix_csv(str(path), m, comments=["edge values"])
+    rows = [",".join(repr(float(v)) for v in row) for row in m]
+    assert path.read_bytes() == ("# edge values\n" + "\n".join(rows) + "\n").encode()
+
+
 def test_matrix_csv_skips_comments_and_blanks(tmp_path):
     path = tmp_path / "m.csv"
     path.write_text("# header\n\n1.0,2.0\n\n# middle\n3.0,4.0\n")

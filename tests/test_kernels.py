@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from kernelcontrast import kernel_approx, kernels, linear_dr, manifold
 from kernelcontrast.kernels import (
     EigenDecomposition,
     FiniteSpace,
     SymMatrix,
+    eigh,
     exp_pmi_kernel,
     gaussian_kernel,
     gram,
@@ -121,6 +125,82 @@ def test_jacobi_1x1_and_zero():
     assert jacobi_eigh([[4.0]]).eigenvalues[0] == 4.0
     eig = jacobi_eigh(np.zeros((3, 3)))
     np.testing.assert_array_equal(eig.eigenvalues, np.zeros(3))
+
+
+@pytest.mark.parametrize("solver", [jacobi_eigh, eigh])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_solvers_reject_non_finite_input(solver, bad):
+    a = np.eye(3)
+    a[1, 1] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        solver(a)
+
+
+# --------------------------------------------------------------------- eigh
+#
+# The toolbox solver is LAPACK; the oracle solver is Jacobi. They must agree
+# on the spectrum and, inside each well-separated eigenvalue cluster, on the
+# spectral projector (the eigenvector basis inside a cluster is arbitrary).
+
+@st.composite
+def _symmetric(draw):
+    n = draw(st.integers(min_value=1, max_value=8))
+    entries = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
+    raw = np.reshape(draw(st.lists(entries, min_size=n * n, max_size=n * n)), (n, n))
+    return (raw + raw.T) / 2.0
+
+
+@settings(deadline=None, max_examples=60)
+@given(_symmetric())
+def test_eigh_matches_jacobi(a):
+    fast, slow = eigh(a), jacobi_eigh(a)
+    scale = max(1.0, float(np.abs(slow.eigenvalues).max()))
+    np.testing.assert_allclose(fast.eigenvalues, slow.eigenvalues, rtol=0, atol=1e-10 * scale)
+    for eig in (fast, slow):
+        assert np.all(np.diff(eig.eigenvalues) <= 0.0)
+        cols = eig.eigenvectors
+        peaks = cols[np.argmax(np.abs(cols), axis=0), np.arange(cols.shape[1])]
+        assert np.all(peaks > 0.0)
+    # cluster boundaries: gaps wider than 1e-3 * scale
+    cuts = np.nonzero(-np.diff(slow.eigenvalues) > 1e-3 * scale)[0] + 1
+    for idx in np.split(np.arange(a.shape[0]), cuts):
+        p_fast = fast.eigenvectors[:, idx] @ fast.eigenvectors[:, idx].T
+        p_slow = slow.eigenvectors[:, idx] @ slow.eigenvectors[:, idx].T
+        np.testing.assert_allclose(p_fast, p_slow, rtol=0, atol=1e-8)
+
+
+def test_eigh_closed_form_and_convention():
+    eig = eigh([[2.0, 1.0], [1.0, 2.0]])
+    np.testing.assert_allclose(eig.eigenvalues, [3.0, 1.0], atol=1e-14)
+    r = 1.0 / np.sqrt(2.0)
+    np.testing.assert_allclose(eig.eigenvectors, [[r, r], [r, -r]], atol=1e-14)
+
+
+def _raiser(name):
+    def boom(*args, **kwargs):
+        raise AssertionError(f"{name} called")
+
+    return boom
+
+
+def test_toolbox_never_calls_jacobi(monkeypatch):
+    for module in (kernels, linear_dr, manifold, kernel_approx):
+        monkeypatch.setattr(module, "jacobi_eigh", _raiser("jacobi_eigh"), raising=False)
+    data, _ = manifold.swiss_roll(40, noise=0.0, seed=1)
+    linear_dr.pca_fit(data, 2)
+    manifold.isomap(data, 2, knn=8)
+    manifold.lle_embed(manifold.lle_weights(data, 8), 2)
+    manifold.laplacian_eigenmaps(data, 2, 1.0, knn=8)
+    kernel_approx.nystrom_fit(gaussian_kernel(1.0), list(data[:10]), 3)
+
+
+def test_oracles_never_call_lapack(monkeypatch):
+    monkeypatch.setattr(np.linalg, "eigh", _raiser("np.linalg.eigh"))
+    g = Stream(4).normal(16).reshape(4, 4)
+    k = g @ g.T
+    mercer_decompose(k, np.full(4, 0.25))
+    linear_dr.low_rank_factor(k, 2)
+    assert is_psd(k)
 
 
 def test_eigendecomposition_n():
@@ -261,6 +341,32 @@ def test_mercer_uniform_weights_match_plain_eigenproblem():
 def test_mercer_rejects_non_psd_table():
     with pytest.raises(ValueError, match="not PSD"):
         mercer_decompose([[0.0, 1.0], [1.0, 0.0]], np.array([0.5, 0.5]))
+
+
+def test_mercer_does_one_jacobi_solve(monkeypatch):
+    calls = []
+
+    def counting(matrix):
+        calls.append(matrix)
+        return jacobi_eigh(matrix)
+
+    monkeypatch.setattr(kernels, "jacobi_eigh", counting)
+    mercer_decompose(np.eye(3), np.array([0.2, 0.3, 0.5]))
+    assert len(calls) == 1
+
+
+def test_mercer_gate_rejects_what_the_unweighted_gate_rejects():
+    """A table just past the unweighted tolerance 1e-9 * max(1, |tr K|) stays
+    rejected under any weights: the weighted gate scales it by min(w)."""
+    for seed in range(8):
+        stream = Stream(seed)
+        q, _ = np.linalg.qr(stream.normal(25).reshape(5, 5))
+        lam = np.array([2.0, 1.0, 0.5, 0.25, 0.0])
+        lam[-1] = -1.01e-9 * max(1.0, lam.sum())
+        k = (q * lam) @ q.T
+        w = stream.uniform(5, 0.01, 1.0)
+        with pytest.raises(ValueError, match="not PSD"):
+            mercer_decompose(k, w / w.sum())
 
 
 def test_mercer_rejects_bad_weights():
