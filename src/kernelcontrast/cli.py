@@ -622,6 +622,8 @@ def _cmd_eigenfun(args, config) -> int:
 
 
 def _cmd_analyze(args, config) -> int:
+    started = time.time()
+    seed = _resolve_seed(args, config, "analyze")
     process = load_process(args.process)
     if (args.subset is None) == (args.parts is None):
         raise UsageError("analyze conductance needs exactly one of --subset or --parts")
@@ -640,6 +642,17 @@ def _cmd_analyze(args, config) -> int:
         ensure_parent(args.output)
         with open(args.output, "w") as fh:
             fh.write(text + "\n")
+        flags = {
+            "quantity": args.quantity,
+            "process": args.process,
+            "subset": args.subset,
+            "parts": args.parts,
+            "output": args.output,
+        }
+        manifest = make_manifest(
+            "analyze", flags, [args.process], seed, {"value": value}, started, __version__
+        )
+        _emit(args.output, manifest)
     print(text)
     return 0
 

@@ -19,7 +19,9 @@ live here too, next to the losses they certify.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -437,7 +439,7 @@ def pair_process(space: FiniteSpace, augment) -> PairProcess:
 
 
 class EnumerationBudgetError(ValueError):
-    """Raised when exact enumeration would exceed the tuple budget."""
+    """Raised when exact enumeration would exceed the term budget."""
 
 
 def _logsumexp(z: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -461,18 +463,50 @@ def infonce_loss(scores: np.ndarray, anchor: int, positive: int, negatives) -> f
     return float(_logsumexp(logits) - logits[0])
 
 
-def _check_batch(process: PairProcess, b: int, budget: int | None) -> int:
+@functools.lru_cache(maxsize=16)
+def _multisets(n: int, k: int):
+    """Every multiset of k items out of n, built once per (n, k).
+
+    Returns (counts, coef, rows): the (M, n) count matrix, the multinomial
+    coefficient k! / prod(c!) of each multiset (how many ordered tuples it
+    stands for) and its (M, k) sorted index row, M = C(n + k - 1, k).
+    """
+    combos = list(itertools.combinations_with_replacement(range(n), k))
+    rows = np.array(combos, dtype=int).reshape(-1, k)
+    counts = np.zeros((len(combos), n))
+    np.add.at(counts, (np.arange(len(combos))[:, None], rows), 1.0)
+    k_fact = math.factorial(k)
+    coef = np.array(
+        [k_fact // math.prod(math.factorial(t.count(i)) for i in set(t)) for t in combos],
+        dtype=float,
+    )
+    for arr in (counts, coef, rows):
+        arr.flags.writeable = False
+    return counts, coef, rows
+
+
+def _check_batch(process: PairProcess, b: int, k: int | None = None) -> None:
+    """Reject B < 2; with k, also an enumeration over the budget.
+
+    Exact enumeration visits |X|^(2B-k) outer index tuples times the
+    C(|X|+k-1, k) multisets of the other k batch slots: k = 2B-2
+    negatives per (anchor, positive) for the loss, k = 2B-1 candidates
+    per anchor for the TV gap.
+    """
     if b < 2:
         raise ValueError(
             f"batch size {b} leaves no negatives; the loss needs B >= 2"
         )
-    tuples = process.n ** (2 * b)
-    if budget is not None and tuples > budget:
+    if k is None:
+        return
+    n = process.n
+    terms = n ** (2 * b - k) * math.comb(n + k - 1, k)
+    if terms > ENUMERATION_BUDGET:
         raise EnumerationBudgetError(
-            f"exact enumeration needs |X|^(2B) = {tuples} tuples, over the "
-            f"budget of {budget}; use simclr_loss_mc for a seeded estimate"
+            f"exact enumeration needs |X|^{2 * b - k} * C(|X|+{k - 1}, {k}) = "
+            f"{terms} terms, over the budget of {ENUMERATION_BUDGET}; use "
+            f"simclr_loss_mc for a seeded estimate"
         )
-    return tuples
 
 
 def expected_simclr_loss(scores: np.ndarray, process: PairProcess, b: int) -> float:
@@ -489,43 +523,44 @@ def expected_simclr_loss(scores: np.ndarray, process: PairProcess, b: int) -> fl
 def simclr_loss_grad(scores: np.ndarray, process: PairProcess, b: int):
     """Expected SimCLR loss and its gradient in the score table.
 
-    All |X|^(2B-2) negative tuples are enumerated in one shot. For each
-    the candidate log-sum-exp splits into the positive's logit and the
-    tuple's own log-sum-exp, and every exponential is taken relative to
-    the max over its own candidate set, so no score range can overflow.
+    The loss sees a negative tuple only through its multiset, so the
+    |X|^(2B-2) ordered tuples collapse to C(|X|+2B-3, 2B-2) multisets,
+    each weighted by its multinomial count times the marginal product.
+    For each the candidate log-sum-exp splits into the positive's logit
+    and the multiset's own log-sum-exp, and every exponential is taken
+    relative to the max over its own candidate set, so no score range can
+    overflow. The loss terms are summed with ``math.fsum``: the optimizer
+    compares losses near the float floor, where a rounded sum is noise.
     """
-    _check_batch(process, b, ENUMERATION_BUDGET)
+    _check_batch(process, b, 2 * b - 2)
     s = np.asarray(scores, dtype=float)
     n = process.n
     if s.shape != (n, n):
         raise ValueError(f"score table shape {s.shape} does not match |X| = {n}")
+    counts, coef, rows = _multisets(n, 2 * b - 2)
     p_pair = process.p_plus
-    n_neg = 2 * b - 2
-    tuples = np.asarray(
-        list(itertools.product(range(n), repeat=n_neg)), dtype=int
-    ).reshape(-1, n_neg)
-    w_neg = np.prod(process.marginal[tuples], axis=1) if n_neg else np.ones(1)
+    w_neg = coef * np.prod(process.marginal[rows], axis=1)
 
-    neg_logits = s[:, tuples]  # (anchor, tuple, slot)
+    support = counts > 0.0
+    # (anchor, multiset, item), -inf off the multiset's support before exp
+    neg_logits = np.where(support, s[:, None, :], -np.inf)
     m_neg = neg_logits.max(axis=2)
-    e_slot = np.exp(neg_logits - m_neg[:, :, None])
-    s_neg = e_slot.sum(axis=2)
-    # lse[a, p, t] over {positive logit, tuple slots}, shifted by its own max
+    e = np.exp(neg_logits - m_neg[:, :, None]) * counts
+    s_neg = e.sum(axis=2)
+    # lse[a, p, m] over {positive logit, multiset slots}, shifted by its own max
     m_all = np.maximum(s[:, :, None], m_neg[:, None, :])
     lse = m_all + np.log(
         np.exp(s[:, :, None] - m_all)
         + s_neg[:, None, :] * np.exp(m_neg[:, None, :] - m_all)
     )
-    loss = float(((p_pair * (lse - s[:, :, None]).transpose(2, 0, 1)).sum(axis=(1, 2)) * w_neg).sum())
+    terms = (p_pair[:, :, None] * (lse - s[:, :, None])) * w_neg
+    loss = math.fsum(terms.ravel().tolist())
 
     sm_pos = np.exp(s[:, :, None] - lse)  # probability mass on the positive
     grad = p_pair * ((sm_pos * w_neg).sum(axis=2) - 1.0)
-    # leftover mass 1 - sm_pos splits over slots by the within-tuple softmax
+    # leftover mass 1 - sm_pos splits over the multiset by its own softmax
     a_mass = ((1.0 - sm_pos) * p_pair[:, :, None]).sum(axis=1) * w_neg
-    slot_frac = e_slot / s_neg[:, :, None]
-    onehot = np.zeros((tuples.shape[0], n_neg, n))
-    onehot[np.arange(tuples.shape[0])[:, None], np.arange(n_neg)[None, :], tuples] = 1.0
-    grad += np.einsum("at,atj,tjz->az", a_mass, slot_frac, onehot)
+    grad += np.einsum("am,amz->az", a_mass / s_neg, e)
     return loss, grad
 
 
@@ -537,7 +572,7 @@ def simclr_loss_mc(
     Returns (mean, standard error) over n_samples simulated batches drawn
     with the package stream, so estimates are seed-reproducible.
     """
-    _check_batch(process, b, None)
+    _check_batch(process, b)
     if n_samples < 2:
         raise ValueError(f"need at least 2 samples, got {n_samples}")
     s = np.asarray(scores, dtype=float)
@@ -595,28 +630,24 @@ def row_normalized(table: np.ndarray) -> np.ndarray:
 def infonce_tv_gap(scores: np.ndarray, process: PairProcess, b: int) -> float:
     """Worst total-variation gap between model and true candidate conditionals.
 
-    Enumerates every anchor and candidate tuple of a batch. The true
-    conditional probability that candidate i is the anchor's partner is
-    K_plus(anchor, c_i) normalized over the candidates; the model's is the
-    softmax of the scores. Returns the maximum TV distance over tuples.
+    The true conditional probability that candidate i is the anchor's
+    partner is K_plus(anchor, c_i) normalized over the candidates; the
+    model's is the softmax of the scores. Returns the maximum TV distance
+    over every anchor and candidate tuple of a batch, skipping tuples
+    whose K_plus sum is 0. The TV distance does not depend on the order
+    of the candidates, so one vectorized pass over the C(|X|+2B-2, 2B-1)
+    candidate multisets per anchor covers every tuple.
     """
-    _check_batch(process, b, ENUMERATION_BUDGET)
+    _check_batch(process, b, 2 * b - 1)
     s = np.asarray(scores, dtype=float)
-    k_plus = process.k_plus.values
     n = process.n
-    worst = 0.0
-    n_cands = 2 * b - 1
-    for anchor in range(n):
-        for cands in itertools.product(range(n), repeat=n_cands):
-            idx = list(cands)
-            model = softmax(s[anchor, idx])
-            truth = k_plus[anchor, idx]
-            denom = truth.sum()
-            if denom == 0.0:
-                continue
-            tv = 0.5 * float(np.abs(model - truth / denom).sum())
-            worst = max(worst, tv)
-    return worst
+    _, _, rows = _multisets(n, 2 * b - 1)
+    model = softmax(s[:, rows])  # (anchor, multiset, candidate)
+    truth = process.k_plus.values[:, rows]
+    denom = truth.sum(axis=2, keepdims=True)
+    live = denom[:, :, 0] > 0.0
+    tv = 0.5 * np.abs(model[live] - truth[live] / denom[live]).sum(axis=1)
+    return float(tv.max(initial=0.0))
 
 
 def train_infonce(

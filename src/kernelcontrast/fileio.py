@@ -10,6 +10,7 @@ JSON objects with items, p, and a row-major augment matrix.
 from __future__ import annotations
 
 import json
+import math
 import os
 
 import numpy as np
@@ -47,7 +48,11 @@ def save_matrix_csv(path: str, matrix, comments: list | None = None) -> None:
 
 
 def load_matrix_csv(path: str) -> np.ndarray:
-    """Read a numeric CSV, skipping blank lines and # comments."""
+    """Read a numeric CSV, skipping blank lines and # comments.
+
+    Every value must be finite: ``nan`` and ``inf`` parse as floats but
+    are rejected with the file and line, so no command computes on them.
+    """
     rows = []
     width = None
     with open(path) as fh:
@@ -63,9 +68,13 @@ def load_matrix_csv(path: str) -> np.ndarray:
                     f"{path}:{lineno}: expected {width} fields, found {len(fields)}"
                 )
             try:
-                rows.append([float(f) for f in fields])
+                row = [float(f) for f in fields]
             except ValueError as exc:
                 raise ParseError(f"{path}:{lineno}: {exc}") from None
+            if not all(map(math.isfinite, row)):
+                bad = next(f for f, v in zip(fields, row) if not math.isfinite(v))
+                raise ParseError(f"{path}:{lineno}: non-finite value {bad.strip()!r}")
+            rows.append(row)
     if not rows:
         raise ParseError(f"{path}: no data rows")
     return np.asarray(rows)

@@ -1,5 +1,6 @@
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -73,6 +74,32 @@ def test_reduce_non_finite_input_exits_1_without_output(tmp_path, capsys):
                  "--input", str(src), "--output", str(out)])
     assert code == 1
     assert "non-finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_kernel_approx_rff_rejects_nan_csv(tmp_path, capsys):
+    src = tmp_path / "pts.csv"
+    src.write_text("1.0,2.0\n0.5,nan\n3.0,1.0\n2.0,2.0\n")
+    out = tmp_path / "feats.csv"
+    code = main(["kernel-approx", "--method", "rff", "--kernel", "gaussian",
+                 "--sigma2", "1.0", "--features", "16", "--input", str(src),
+                 "--output", str(out)])
+    assert code == 1
+    assert "pts.csv:2: non-finite" in capsys.readouterr().err
+    assert not out.exists()
+    assert not (tmp_path / "feats.csv.manifest.json").exists()
+
+
+def test_reduce_isomap_on_inf_csv_exits_1_without_warnings(tmp_path, capsys):
+    src = tmp_path / "pts.csv"
+    src.write_text("# points\n1.0,2.0\n0.5,0.5\n3.0,1.0\n-inf,2.0\n")
+    out = tmp_path / "emb.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["reduce", "--method", "isomap", "--knn", "2",
+                     "--input", str(src), "--output", str(out)])
+    assert code == 1
+    assert "pts.csv:5: non-finite" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -349,6 +376,22 @@ def test_analyze_sparsest_partition(tmp_path, capsys):
     stored = json.load(open(outfile))
     assert printed == stored
     assert stored["quantity"] == "sparsest_partition"
+
+
+def test_analyze_output_has_reproducible_manifest(tmp_path):
+    proc = _write_process(tmp_path / "p.json", **TWO_STATE)
+    outfile = str(tmp_path / "cond.json")
+    blobs = []
+    for _ in range(2):
+        assert main(["analyze", "conductance", "--process", proc,
+                     "--subset", "0", "--output", outfile]) == 0
+        manifest = load_manifest(outfile + ".manifest.json")
+        assert manifest["subcommand"] == "analyze"
+        assert manifest["metrics"]["value"] == pytest.approx(0.32)
+        assert list(manifest["inputs"]) == [proc]
+        del manifest["timestamps"]
+        blobs.append(json.dumps(manifest, sort_keys=True))
+    assert blobs[0] == blobs[1]
 
 
 def test_analyze_requires_exactly_one_selector(tmp_path):

@@ -283,6 +283,33 @@ def test_pair_process_marginal_shift_flag():
     assert proc.marginal_shifted
 
 
+@st.composite
+def _random_pair_process(draw):
+    """A positive source and a random stochastic augmentation over 1-6 items.
+
+    Off-diagonal augmentation entries may be exactly 0; a positive
+    diagonal keeps every item reachable.
+    """
+    n = draw(st.integers(min_value=1, max_value=6))
+    source = st.lists(st.floats(min_value=0.01, max_value=1.0), min_size=n, max_size=n)
+    entries = st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=n * n, max_size=n * n)
+    p = np.asarray(draw(source))
+    raw = np.asarray(draw(entries)).reshape(n, n)
+    a = raw + 0.1 * np.eye(n)
+    space = FiniteSpace([f"x{i}" for i in range(n)], p / p.sum())
+    return pair_process(space, a / a.sum(axis=1, keepdims=True))
+
+
+@settings(deadline=None, max_examples=60)
+@given(_random_pair_process())
+def test_pair_process_identities(proc):
+    """Symmetric joint, marginals as its row sums, PSD k_plus and abar."""
+    np.testing.assert_array_equal(proc.p_plus, proc.p_plus.T)
+    np.testing.assert_allclose(proc.p_plus.sum(axis=1), proc.marginal, rtol=0, atol=1e-12)
+    assert is_psd(proc.k_plus)
+    assert is_psd(proc.abar)
+
+
 def test_pair_process_validation():
     space = FiniteSpace(["a", "b"], np.array([0.5, 0.5]))
     with pytest.raises(ValueError, match="sums to"):
@@ -337,8 +364,9 @@ def test_simclr_loss_extreme_scores_stay_finite():
 
 
 def test_simclr_enumeration_budget():
-    # 40 items at B = 2 needs 40^4 = 2.56e6 tuples, over the 2e6 budget
-    n = 40
+    # 60 items at B = 2 needs 60^2 * C(61, 2) = 6.6e6 multiset terms, over
+    # the 2e6 budget
+    n = 60
     space = FiniteSpace([f"i{j}" for j in range(n)], np.full(n, 1.0 / n))
     proc = pair_process(space, np.eye(n))
     with pytest.raises(EnumerationBudgetError, match="simclr_loss_mc"):

@@ -56,6 +56,14 @@ def test_matrix_csv_reports_line_numbers(tmp_path):
         load_matrix_csv(str(path))
 
 
+@pytest.mark.parametrize("token", ["nan", "inf", "-inf", "NaN", "Infinity"])
+def test_matrix_csv_rejects_non_finite(tmp_path, token):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"# comment\n1.0,2.0\n3.0,{token}\n")
+    with pytest.raises(ParseError, match=r"bad\.csv:3: non-finite"):
+        load_matrix_csv(str(path))
+
+
 def test_matrix_csv_empty_file(tmp_path):
     path = tmp_path / "empty.csv"
     path.write_text("# nothing here\n")
