@@ -42,7 +42,7 @@ print("random fourier features (same Gram, one map per dimension count)")
 print(f"{'d':>6} {'max error':>12}")
 for d in (50, 200, 800, 3200):
     model = rff_sample(SIGMA2, d, 2, seed=100 + d)
-    feats = np.stack([rff_features(model, x) for x in points])
+    feats = rff_features(model, points)
     approx = feats @ feats.T
     print(f"{d:>6} {np.abs(approx - exact).max():12.2e}")
 

@@ -47,8 +47,8 @@ from .fileio import (
     save_matrix_csv,
 )
 from .kernel_approx import (
+    nystrom_features,
     nystrom_fit,
-    nystrom_gram_approx,
     rff_features,
     rff_sample,
     sample_landmarks,
@@ -381,16 +381,7 @@ def _cmd_kernel_approx(args, config) -> int:
             raise UsageError(f"--landmarks {m} exceeds the {n} input points")
         idx = sample_landmarks(n, m, seed)
         model = nystrom_fit(kernel, [data[i] for i in idx], rank)
-        approx = nystrom_gram_approx(model, list(data))
-        keep = [
-            i
-            for i in range(model.rank)
-            if model.eigenvalues[i] > 1e-10 * max(1.0, model.eigenvalues[0])
-        ]
-        c = np.asarray(
-            [[float(kernel(x, lm)) for lm in model.landmarks] for x in data]
-        )
-        feats = (c @ model.eigenvectors[:, keep]) / np.sqrt(model.eigenvalues[keep])
+        feats = nystrom_features(model, data)
         metrics["usable_rank"] = model.usable_rank
         flags = {"method": "nystrom", "landmarks": m, "rank": rank}
     else:
@@ -400,11 +391,11 @@ def _cmd_kernel_approx(args, config) -> int:
         if kernel.kind != "gaussian":
             raise UsageError("random Fourier features require the gaussian kernel")
         model = rff_sample(kernel.sigma2, d, data.shape[1], seed)
-        feats = np.asarray([rff_features(model, x) for x in data])
-        approx = feats @ feats.T
+        feats = rff_features(model, data)
         flags = {"method": "rff", "features": d}
 
-    exact = gram(kernel, list(data)).values
+    approx = feats @ feats.T
+    exact = gram(kernel, data).values
     err = np.abs(approx - exact)
     metrics["max_abs_error"] = float(err.max())
     metrics["mean_abs_error"] = float(err.mean())

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import KernelSpec, eigh, gram, kernel_eval
+from .kernels import KernelSpec, cross_gram, eigh, gram, psd_tolerance, require_psd
 from .rng import Stream
 
 __all__ = [
@@ -22,6 +22,7 @@ __all__ = [
     "IllConditionedError",
     "nystrom_fit",
     "nystrom_eigenfunction",
+    "nystrom_features",
     "nystrom_gram_approx",
     "rff_sample",
     "rff_features",
@@ -46,21 +47,20 @@ class NystromModel:
     rank: int
 
     @property
-    def n_landmarks(self) -> int:
-        return len(self.landmarks)
+    def floor(self) -> float:
+        """Conditioning floor: eigenvalues at or below it are not divided by."""
+        return RANK_FLOOR * float(self.eigenvalues.max(initial=1.0))
 
     @property
     def usable_rank(self) -> int:
-        """Eigenvalues above the conditioning floor relative to the largest."""
-        if self.eigenvalues.shape[0] == 0 or self.eigenvalues[0] <= 0.0:
-            return 0
-        return int((self.eigenvalues > RANK_FLOOR * self.eigenvalues[0]).sum())
+        """Eigenvalues above the conditioning floor."""
+        return int((self.eigenvalues > self.floor).sum())
 
 
 def nystrom_fit(kernel: KernelSpec, landmarks, d: int) -> NystromModel:
     """Eigendecompose the M x M landmark Gram matrix, keeping rank d.
 
-    The Gram must be PSD within 1e-8 (scaled by trace); eigenvalue i of
+    The Gram must pass the PSD gate (`require_psd`); eigenvalue i of
     the underlying kernel operator under the landmark sampling measure is
     estimated by eigenvalues[i] / M.
     """
@@ -70,11 +70,7 @@ def nystrom_fit(kernel: KernelSpec, landmarks, d: int) -> NystromModel:
         raise ValueError(f"rank d must be in [1, {m}], got {d}")
     g = gram(kernel, landmarks)
     eig = eigh(g)
-    tol = 1e-8 * max(1.0, abs(float(np.trace(g.values))))
-    if eig.eigenvalues.min(initial=0.0) < -tol:
-        raise ValueError(
-            f"landmark Gram is not PSD: min eigenvalue {eig.eigenvalues.min():.3e}"
-        )
+    require_psd(eig.eigenvalues, psd_tolerance(g.values), "landmark Gram")
     return NystromModel(
         kernel=kernel,
         landmarks=landmarks,
@@ -92,36 +88,31 @@ def nystrom_eigenfunction(model: NystromModel, i: int, z) -> float:
     Eigenvalues at or below the conditioning floor cannot be divided by
     and raise IllConditionedError.
     """
-    m = model.n_landmarks
     if not 0 <= i < model.rank:
         raise IndexError(f"eigenfunction index {i} outside kept rank {model.rank}")
     lam = model.eigenvalues[i]
-    floor = RANK_FLOOR * max(1.0, float(model.eigenvalues[0]))
-    if lam <= floor:
+    if lam <= model.floor:
         raise IllConditionedError(
-            f"eigenvalue {i} = {lam:.3e} is below the conditioning floor {floor:.3e}"
+            f"eigenvalue {i} = {lam:.3e} is below the conditioning floor {model.floor:.3e}"
         )
-    k_vals = np.asarray([kernel_eval(model.kernel, x, z) for x in model.landmarks])
-    return float(np.sqrt(m) / lam * np.dot(k_vals, model.eigenvectors[:, i]))
+    k_vals = cross_gram(model.kernel, model.landmarks, [z])[:, 0]
+    return float(np.sqrt(len(model.landmarks)) / lam * np.dot(k_vals, model.eigenvectors[:, i]))
+
+
+def nystrom_features(model: NystromModel, points) -> np.ndarray:
+    """Nystrom feature map F = C U diag(lambda^-1/2), one row per point: C is
+    the kernel between points and landmarks, U and lambda the kept rank's
+    eigenpairs above the conditioning floor, so F F^T approximates the kernel."""
+    keep = np.flatnonzero(model.eigenvalues[: model.rank] > model.floor)
+    c = cross_gram(model.kernel, list(points), model.landmarks)
+    return (c @ model.eigenvectors[:, keep]) / np.sqrt(model.eigenvalues[keep])
 
 
 def nystrom_gram_approx(model: NystromModel, points) -> np.ndarray:
-    """Rank-d kernel matrix approximation on arbitrary points.
-
-    K_hat(x, z) = sum_i lambda_i/M * phi_i(x) phi_i(z) over the kept rank,
-    with phi_i the Nystrom extensions; equivalently C U diag(1/lambda) U^T C^T
-    restricted to usable eigenvalues.
-    """
-    pts = list(points)
-    floor = RANK_FLOOR * max(1.0, float(model.eigenvalues[0]))
-    keep = [i for i in range(model.rank) if model.eigenvalues[i] > floor]
-    c = np.asarray(
-        [[kernel_eval(model.kernel, x, lm) for lm in model.landmarks] for x in pts]
-    )
-    u = model.eigenvectors[:, keep]
-    inv = 1.0 / model.eigenvalues[keep]
-    proj = c @ u
-    return (proj * inv) @ proj.T
+    """Rank-d kernel matrix approximation F F^T on arbitrary points, with F
+    the `nystrom_features`: C U diag(1/lambda) U^T C^T over usable eigenvalues."""
+    feats = nystrom_features(model, points)
+    return feats @ feats.T
 
 
 def sample_landmarks(n_total: int, m: int, seed: int) -> np.ndarray:
@@ -160,14 +151,13 @@ def rff_sample(sigma2: float, d: int, n0: int, seed: int) -> RffModel:
 def rff_features(model: RffModel, x) -> np.ndarray:
     """Feature map (1/sqrt(d)) [cos(w_1.x), ..., cos(w_d.x), sin(w_1.x), ..., sin(w_d.x)].
 
-    The squared norm is 1 for every x (cos^2 + sin^2 per frequency), and
-    E[phi(x).phi(z)] over the frequency draw equals the Gaussian kernel.
+    Maps one point (n0,) or a batch (m, n0), one row per point. The squared
+    norm is 1 for every x (cos^2 + sin^2 per frequency), and E[phi(x).phi(z)]
+    over the frequency draw equals the Gaussian kernel.
     """
     x = np.asarray(x, dtype=float)
-    if x.shape != (model.frequencies.shape[1],):
-        raise ValueError(
-            f"point has shape {x.shape}, expected ({model.frequencies.shape[1]},)"
-        )
-    t = model.frequencies @ x
-    d = model.n_features
-    return np.concatenate((np.cos(t), np.sin(t))) / np.sqrt(d)
+    n0 = model.frequencies.shape[1]
+    if x.ndim not in (1, 2) or x.shape[-1] != n0:
+        raise ValueError(f"points have shape {x.shape}, expected ({n0},) or (m, {n0})")
+    t = x @ model.frequencies.T
+    return np.concatenate((np.cos(t), np.sin(t)), axis=-1) / np.sqrt(model.n_features)

@@ -11,7 +11,7 @@ so no toolbox result is checked by its own eigensolver.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,9 +25,12 @@ __all__ = [
     "gaussian_kernel",
     "table_kernel",
     "exp_pmi_kernel",
+    "cross_gram",
     "kernel_eval",
     "gram",
     "is_psd",
+    "require_psd",
+    "psd_tolerance",
     "eigh",
     "jacobi_eigh",
     "mercer_decompose",
@@ -40,16 +43,19 @@ def symmetrize(a: np.ndarray) -> np.ndarray:
     return (a + a.T) / 2.0
 
 
+SYM_TOL = 1e-9
+
+
 class SymMatrix:
     """A dense symmetric matrix with symmetry enforced at construction.
 
-    The constructor rejects inputs whose asymmetry exceeds a small
-    tolerance relative to the largest entry, then mirrors the upper
-    triangle so `values` is symmetric to the bit. Downstream code can
-    rely on ``m.values[i, j] == m.values[j, i]`` exactly.
+    The constructor rejects inputs whose asymmetry exceeds ``SYM_TOL``
+    relative to the largest entry, then mirrors the upper triangle so
+    `values` is symmetric to the bit. Downstream code can rely on
+    ``m.values[i, j] == m.values[j, i]`` exactly.
     """
 
-    def __init__(self, values: np.ndarray, tol: float = 1e-9):
+    def __init__(self, values: np.ndarray):
         a = np.asarray(values, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {a.shape}")
@@ -64,10 +70,10 @@ class SymMatrix:
         else:
             asym = np.abs(a - a.T).max()
         scale = np.abs(a[finite]).max() if finite.any() else 0.0
-        if asym > tol * max(1.0, scale):
+        if asym > SYM_TOL * max(1.0, scale):
             raise ValueError(
                 f"matrix is not symmetric: max asymmetry {asym:.3e} "
-                f"exceeds {tol:.1e} * max(1, {scale:.3e})"
+                f"exceeds {SYM_TOL:.1e} * max(1, {scale:.3e})"
             )
         upper = np.triu(a)
         self.values = upper + np.triu(a, 1).T
@@ -248,7 +254,6 @@ class KernelSpec:
     degree: int = 0
     sigma2: float = 0.0
     table: np.ndarray | None = None
-    meta: dict = field(default_factory=dict)
 
     def __call__(self, x, z) -> float:
         return kernel_eval(self, x, z)
@@ -272,10 +277,9 @@ def gaussian_kernel(sigma2: float) -> KernelSpec:
     return KernelSpec(kind="gaussian", sigma2=float(sigma2))
 
 
-def table_kernel(table, check_symmetric: bool = True) -> KernelSpec:
+def table_kernel(table) -> KernelSpec:
     """Wrap an explicit symmetric value table over a finite space."""
-    values = as_sym_array(table) if check_symmetric else np.asarray(table, float)
-    return KernelSpec(kind="table", table=values)
+    return KernelSpec(kind="table", table=as_sym_array(table))
 
 
 def exp_pmi_kernel(joint, marg_row, marg_col) -> KernelSpec:
@@ -304,71 +308,78 @@ def exp_pmi_kernel(joint, marg_row, marg_col) -> KernelSpec:
     if np.abs(j.sum(axis=0) - mc).max() > 1e-9:
         raise ValueError("joint column sums do not reproduce the column marginal")
     ratio = j / np.outer(mr, mc)
-    return KernelSpec(kind="table", table=symmetrize(ratio), meta={"source": "exp_pmi"})
+    return KernelSpec(kind="table", table=symmetrize(ratio))
 
 
-def kernel_eval(kernel: KernelSpec, x, z) -> float:
-    """Evaluate a kernel at one pair of points.
+def _table_indices(points, n: int) -> np.ndarray:
+    """Integer indices into an n-item table; anything else is an IndexError."""
+    idx = np.asarray(points, dtype=float).reshape(-1)
+    if not np.all((idx >= 0) & (idx < n) & (idx == np.floor(idx))):
+        raise IndexError(f"table kernel indices must be integers in [0, {n}), got {points!r}")
+    return idx.astype(int)
 
-    Vector kinds take 1-D coordinate arrays; table kinds take integer
-    indices into the finite space the table was built over.
+
+def _vectors(points) -> np.ndarray:
+    """Points as the rows of a contiguous 2-D float array."""
+    x = np.ascontiguousarray(points, dtype=float)
+    return x.reshape(len(x), -1) if x.size else np.zeros((len(x), 0))
+
+
+def cross_gram(kernel: KernelSpec, xs, zs) -> np.ndarray:
+    """Kernel values K(x_i, z_j) on two point lists, as a len(xs) x len(zs) array.
+
+    Every kernel formula lives here. Vector kinds take coordinate vectors;
+    the Gaussian expands |x - z|^2 as |x|^2 + |z|^2 - 2 x.z, clamped at 0.
+    Table kinds take integer indices into the table's finite space.
     """
-    if kernel.kind == "linear":
-        return float(np.dot(np.asarray(x, float), np.asarray(z, float)))
-    if kernel.kind == "polynomial":
-        return float(
-            (1.0 + np.dot(np.asarray(x, float), np.asarray(z, float))) ** kernel.degree
-        )
-    if kernel.kind == "gaussian":
-        diff = np.asarray(x, float) - np.asarray(z, float)
-        return float(np.exp(-np.dot(diff, diff) / (2.0 * kernel.sigma2)))
     if kernel.kind == "table":
-        i, j = int(x), int(z)
         n = kernel.table.shape[0]
-        if not (0 <= i < n and 0 <= j < n):
-            raise IndexError(f"table kernel index ({i}, {j}) out of range for n={n}")
-        return float(kernel.table[i, j])
+        return kernel.table[np.ix_(_table_indices(xs, n), _table_indices(zs, n))]
+    x, z = _vectors(xs), _vectors(zs)
+    if kernel.kind == "linear":
+        return x @ z.T
+    if kernel.kind == "polynomial":
+        return (1.0 + x @ z.T) ** kernel.degree
+    if kernel.kind == "gaussian":
+        sq_x, sq_z = np.square(x).sum(axis=1), np.square(z).sum(axis=1)
+        d2 = sq_x[:, None] + sq_z[None, :] - 2.0 * (x @ z.T)
+        return np.exp(-np.maximum(d2, 0.0) / (2.0 * kernel.sigma2))
     raise ValueError(f"unknown kernel kind {kernel.kind!r}")
 
 
-def gram(kernel: KernelSpec, points) -> SymMatrix:
-    """Gram matrix of a kernel on a point list, exactly symmetric.
+def kernel_eval(kernel: KernelSpec, x, z) -> float:
+    """Evaluate a kernel at one pair of points: the 1 x 1 `cross_gram`."""
+    return float(cross_gram(kernel, [x], [z])[0, 0])
 
-    Each pair is evaluated once (i <= j) and mirrored, so no symmetry is
-    lost to floating-point evaluation order.
-    """
-    if kernel.kind == "table":
-        idx = np.asarray(points, dtype=int)
-        sub = kernel.table[np.ix_(idx, idx)]
-        return SymMatrix(symmetrize(sub))
-    pts = [np.asarray(p, dtype=float) for p in points]
-    m = len(pts)
-    if kernel.kind in ("linear", "polynomial"):
-        x = np.stack(pts) if m else np.zeros((0, 0))
-        g = x @ x.T
-        if kernel.kind == "polynomial":
-            g = (1.0 + g) ** kernel.degree
-    elif kernel.kind == "gaussian":
-        x = np.stack(pts) if m else np.zeros((0, 0))
-        sq = np.square(x).sum(axis=1)
-        d2 = sq[:, None] + sq[None, :] - 2.0 * (x @ x.T)
-        g = np.exp(-np.maximum(d2, 0.0) / (2.0 * kernel.sigma2))
-    else:
-        raise ValueError(f"unknown kernel kind {kernel.kind!r}")
-    return SymMatrix(symmetrize(g))
+
+def gram(kernel: KernelSpec, points) -> SymMatrix:
+    """Gram matrix of a kernel on a point list, exactly symmetric."""
+    return SymMatrix(symmetrize(cross_gram(kernel, points, points)))
+
+
+def psd_tolerance(matrix) -> float:
+    """The PSD gate's default tolerance, 1e-8 * max(1, |tr A|), so
+    identity-sized rounding on a large Gram does not flip the verdict."""
+    return 1e-8 * max(1.0, abs(float(np.trace(matrix))))
+
+
+def require_psd(eigenvalues: np.ndarray, tol: float, what: str) -> None:
+    """The PSD gate: raise ValueError if any eigenvalue is below -tol."""
+    low = float(eigenvalues.min(initial=0.0))
+    if low < -tol:
+        raise ValueError(f"{what} is not PSD: min eigenvalue {low:.3e} < -{tol:.3e}")
 
 
 def is_psd(matrix, tol: float | None = None) -> bool:
-    """Check positive semidefiniteness by full eigendecomposition.
-
-    The default tolerance is 1e-8 scaled by max(1, trace), so identity-
-    sized noise on large Grams does not flip the verdict.
-    """
+    """Whether the matrix's Jacobi spectrum passes `require_psd`, at
+    `psd_tolerance` unless ``tol`` is given."""
     a = as_sym_array(matrix)
-    if tol is None:
-        tol = 1e-8 * max(1.0, float(np.trace(a)))
-    eig = jacobi_eigh(a)
-    return bool(eig.eigenvalues.min(initial=0.0) >= -tol)
+    eigenvalues = jacobi_eigh(a).eigenvalues
+    try:
+        require_psd(eigenvalues, psd_tolerance(a) if tol is None else tol, "matrix")
+    except ValueError:
+        return False
+    return True
 
 
 def mercer_decompose(kernel_table, weights) -> tuple[np.ndarray, np.ndarray]:
@@ -401,9 +412,6 @@ def mercer_decompose(kernel_table, weights) -> tuple[np.ndarray, np.ndarray]:
     # Ostrowski: lambda_i(D^(1/2) K D^(1/2)) = theta_i lambda_i(K) with theta_i
     # >= min(w), so this gate rejects every table that K's own spectrum would.
     tol = 1e-9 * max(1.0, abs(float(np.trace(k)))) * float(w.min())
-    if eig.eigenvalues.min(initial=0.0) < -tol:
-        raise ValueError(
-            f"kernel table is not PSD: min weighted eigenvalue {eig.eigenvalues.min():.3e}"
-        )
+    require_psd(eig.eigenvalues, tol, "weighted kernel table")
     functions = eig.eigenvectors / root[:, None]
     return eig.eigenvalues, functions

@@ -14,7 +14,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import SymMatrix, as_sym_array, eigh, jacobi_eigh, symmetrize
+from .kernels import (
+    SymMatrix,
+    as_sym_array,
+    eigh,
+    jacobi_eigh,
+    psd_tolerance,
+    require_psd,
+    symmetrize,
+)
 
 __all__ = [
     "PcaModel",
@@ -159,10 +167,6 @@ def low_rank_factor(psd, d: int) -> np.ndarray:
     if not 1 <= d <= n:
         raise ValueError(f"d must be in [1, {n}], got {d}")
     eig = jacobi_eigh(a)
-    tol = 1e-8 * max(1.0, abs(float(np.trace(a))))
-    if eig.eigenvalues.min(initial=0.0) < -tol:
-        raise ValueError(
-            f"matrix is not PSD: min eigenvalue {eig.eigenvalues.min():.3e}"
-        )
+    require_psd(eig.eigenvalues, psd_tolerance(a), "matrix")
     lam = np.maximum(eig.eigenvalues[:d], 0.0)
     return eig.eigenvectors[:, :d] * np.sqrt(lam)

@@ -90,6 +90,39 @@ def test_kernel_approx_rff_rejects_nan_csv(tmp_path, capsys):
     assert not (tmp_path / "feats.csv.manifest.json").exists()
 
 
+@pytest.mark.parametrize(
+    "kernel, landmarks, rank",
+    [(["--kernel", "linear"], 8, 8), (["--kernel", "gaussian", "--sigma2", "2.0"], 12, 5)],
+    ids=["linear-rank-deficient", "gaussian-truncated"],
+)
+def test_kernel_approx_nystrom_end_to_end(tmp_path, kernel, landmarks, rank):
+    """The written features are n x usable rank, and the reported error is
+    max |F F^T - K| for exactly those features."""
+    roll = str(tmp_path / "roll.csv")
+    assert main(["gen", "swiss-roll", "--n", "40", "--seed", "3", "--output", roll]) == 0
+    out = str(tmp_path / "feats.csv")
+    rep = str(tmp_path / "report.json")
+    code = main(["kernel-approx", "--method", "nystrom", *kernel,
+                 "--landmarks", str(landmarks), "--rank", str(rank), "--input", roll,
+                 "--columns", "0,1,2", "--seed", "1", "--output", out, "--report", rep])
+    assert code == 0
+    manifest = load_manifest(out + ".manifest.json")
+    usable = manifest["metrics"]["usable_rank"]
+    feats = load_matrix_csv(out)
+    assert feats.shape == (40, min(rank, usable))
+    x = load_matrix_csv(roll)[:, :3]
+    if kernel[1] == "linear":
+        assert usable == 3  # 3-D points: the landmark Gram has rank 3
+        exact = x @ x.T
+    else:
+        exact = np.exp(-np.square(x[:, None, :] - x[None, :, :]).sum(axis=2) / 4.0)
+    with open(rep) as fh:
+        report = json.load(fh)
+    recomputed = np.abs(feats @ feats.T - exact).max()
+    scale = np.abs(exact).max()
+    assert report["max_abs_error"] == pytest.approx(recomputed, rel=0, abs=1e-12 * scale)
+
+
 def test_reduce_isomap_on_inf_csv_exits_1_without_warnings(tmp_path, capsys):
     src = tmp_path / "pts.csv"
     src.write_text("# points\n1.0,2.0\n0.5,0.5\n3.0,1.0\n-inf,2.0\n")

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kernelcontrast.contrastive import pair_process
 from kernelcontrast.fileio import (
@@ -23,6 +25,26 @@ def test_matrix_csv_roundtrip_is_exact(tmp_path):
     save_matrix_csv(path, m, comments=["three rows", "four columns"])
     back = load_matrix_csv(path)
     np.testing.assert_array_equal(back, m)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    st.tuples(st.integers(1, 4), st.integers(1, 4)).flatmap(
+        lambda shape: st.lists(
+            st.floats(allow_nan=False, allow_infinity=False),
+            min_size=shape[0] * shape[1],
+            max_size=shape[0] * shape[1],
+        ).map(lambda flat: np.reshape(flat, shape))
+    )
+)
+def test_matrix_csv_repr_round_trip_is_bitwise(tmp_path_factory, m):
+    """Every finite double, subnormals and -0.0 included, reads back to the
+    same bits."""
+    path = str(tmp_path_factory.mktemp("csv") / "m.csv")
+    save_matrix_csv(path, m)
+    back = load_matrix_csv(path)
+    assert back.shape == m.shape
+    assert back.tobytes() == m.tobytes()
 
 
 def test_matrix_csv_bytes_match_per_scalar_repr(tmp_path):

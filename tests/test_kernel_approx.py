@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from kernelcontrast.kernel_approx import (
+    RANK_FLOOR,
     IllConditionedError,
     nystrom_eigenfunction,
+    nystrom_features,
     nystrom_fit,
     nystrom_gram_approx,
     rff_features,
@@ -102,6 +104,28 @@ def test_nystrom_gram_approx_skips_floored_eigenvalues():
     assert approx[0, 0] == pytest.approx(1.0, abs=1e-10)
 
 
+def test_nystrom_gram_approx_is_feature_inner_products():
+    kern = gaussian_kernel(0.6)
+    pts = _cloud(12, seed=4)
+    model = nystrom_fit(kern, pts[:5], d=4)
+    feats = nystrom_features(model, pts)
+    assert feats.shape == (12, min(model.rank, model.usable_rank))
+    np.testing.assert_array_equal(nystrom_gram_approx(model, pts), feats @ feats.T)
+
+
+def test_usable_rank_is_what_the_extension_can_divide_by():
+    """With the largest eigenvalue below 1, usable_rank still counts only
+    eigenvalues above the absolute floor the extension and features use."""
+    pts = [np.array([0.1, 0.0]), np.array([0.1, 3e-6])]
+    model = nystrom_fit(linear_kernel(), pts, d=2)
+    assert RANK_FLOOR * model.eigenvalues[0] < model.eigenvalues[1] <= RANK_FLOOR
+    assert model.usable_rank == 1
+    assert nystrom_features(model, pts).shape == (2, 1)
+    nystrom_eigenfunction(model, 0, pts[0])
+    with pytest.raises(IllConditionedError):
+        nystrom_eigenfunction(model, 1, pts[0])
+
+
 def test_nystrom_fit_validation():
     with pytest.raises(ValueError):
         nystrom_fit(linear_kernel(), _cloud(4), d=5)
@@ -174,6 +198,24 @@ def test_rff_frequency_marginals_match_spectral_measure():
     sigma2 = 2.0
     model = rff_sample(sigma2=sigma2, d=20000, n0=1, seed=5)
     assert np.mean(model.frequencies**2) == pytest.approx(1.0 / sigma2, rel=0.03)
+
+
+def test_rff_batch_rows_equal_single_points():
+    model = rff_sample(sigma2=0.7, d=40, n0=3, seed=2)
+    batch = Stream(8).normal(30).reshape(10, 3)
+    feats = rff_features(model, batch)
+    assert feats.shape == (10, 80)
+    # One matrix product or one per row: only the BLAS summation order of the
+    # phases w.x differs, a few ulps of |w.x| <= ~20.
+    for row, x in zip(feats, batch):
+        np.testing.assert_allclose(row, rff_features(model, x), rtol=0, atol=1e-14)
+
+
+def test_rff_rejects_bad_batch_shapes():
+    model = rff_sample(sigma2=1.0, d=4, n0=2, seed=0)
+    for shape in ((4, 3), (1, 4, 2), ()):
+        with pytest.raises(ValueError, match="expected"):
+            rff_features(model, np.zeros(shape))
 
 
 def test_rff_validation():

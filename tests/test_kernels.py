@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,9 +7,11 @@ from hypothesis import strategies as st
 
 from kernelcontrast import kernel_approx, kernels, linear_dr, manifold
 from kernelcontrast.kernels import (
+    SYM_TOL,
     EigenDecomposition,
     FiniteSpace,
     SymMatrix,
+    cross_gram,
     eigh,
     exp_pmi_kernel,
     gaussian_kernel,
@@ -53,6 +57,40 @@ def test_symmatrix_rejects_asymmetric_inf():
     a[0, 1] = np.inf
     with pytest.raises(ValueError):
         SymMatrix(a)
+
+
+@st.composite
+def _sym_case(draw, min_n):
+    """A symmetric matrix with entries up to 1e3 and a same-shape noise matrix in [-1, 1]."""
+    n = draw(st.integers(min_value=min_n, max_value=6))
+
+    def square(lo, hi):
+        flat = draw(st.lists(st.floats(lo, hi), min_size=n * n, max_size=n * n))
+        return np.reshape(flat, (n, n))
+
+    raw = square(-1e3, 1e3)
+    return (raw + raw.T) / 2.0, square(-1.0, 1.0)
+
+
+@settings(deadline=None, max_examples=80)
+@given(_sym_case(1))
+def test_symmatrix_output_is_bitwise_symmetric(case):
+    """Asymmetry within SYM_TOL is accepted and the upper triangle mirrored."""
+    sym, noise = case
+    a = sym + 0.4 * SYM_TOL * max(1.0, float(np.abs(sym).max())) * noise
+    m = SymMatrix(a)
+    np.testing.assert_array_equal(m.values, m.values.T)
+    np.testing.assert_array_equal(np.triu(m.values), np.triu(a))
+
+
+@settings(deadline=None, max_examples=80)
+@given(_sym_case(2), st.floats(min_value=2.0, max_value=1e6))
+def test_symmatrix_rejects_asymmetry_past_tolerance(case, factor):
+    sym, _ = case
+    bad = sym.copy()
+    bad[0, 1] += factor * SYM_TOL * max(1.0, float(np.abs(sym).max()))
+    with pytest.raises(ValueError, match="not symmetric"):
+        SymMatrix(bad)
 
 
 def test_from_exact_requires_bit_symmetry():
@@ -276,6 +314,126 @@ def test_table_kernel_indexing():
         kernel_eval(t, 0, 5)
     sub = gram(t, [1, 0])
     np.testing.assert_array_equal(sub.values, [[1.0, 0.2], [0.2, 1.0]])
+
+
+@pytest.mark.parametrize("bad", [-1, 2, 0.7], ids=["negative", "past-n", "non-integral"])
+def test_table_kernel_rejects_bad_indices(bad):
+    """Every path into a table checks its indices: no wrap-around from the
+    end, no truncation of fractional indices."""
+    t = table_kernel([[1.0, 0.2], [0.2, 1.0]])
+    with pytest.raises(IndexError, match="integers in"):
+        gram(t, [bad, 0])
+    with pytest.raises(IndexError, match="integers in"):
+        cross_gram(t, [0, 1], [bad])
+    with pytest.raises(IndexError, match="integers in"):
+        kernel_eval(t, bad, 0)
+    with pytest.raises(IndexError, match="integers in"):
+        kernel_approx.nystrom_fit(t, [bad], 1)
+
+
+@st.composite
+def _vector_kernel_case(draw):
+    n0 = draw(st.integers(min_value=1, max_value=4))
+    coord = st.floats(min_value=-10.0, max_value=10.0)
+
+    def points():
+        m = draw(st.integers(min_value=1, max_value=5))
+        return np.reshape(draw(st.lists(coord, min_size=m * n0, max_size=m * n0)), (m, n0))
+
+    kernel = draw(
+        st.one_of(
+            st.just(linear_kernel()),
+            st.integers(min_value=1, max_value=4).map(polynomial_kernel),
+            st.floats(min_value=0.1, max_value=10.0).map(gaussian_kernel),
+        )
+    )
+    return kernel, points(), points()
+
+
+def _pairwise(kernel, x, z):
+    """The textbook value at one pair, the Gaussian through x - z, and the
+    scale its rounding error is measured against."""
+    if kernel.kind == "gaussian":
+        d2 = math.fsum(np.square(x - z))
+        return math.exp(-d2 / (2.0 * kernel.sigma2)), max(1.0, (x @ x + z @ z) / kernel.sigma2)
+    dot = math.fsum(x * z)
+    norms = float(np.linalg.norm(x) * np.linalg.norm(z))
+    if kernel.kind == "linear":
+        return dot, max(1.0, norms)
+    return (1.0 + dot) ** kernel.degree, (1.0 + norms) ** kernel.degree
+
+
+@settings(deadline=None, max_examples=150)
+@given(_vector_kernel_case())
+def test_cross_gram_matches_pairwise_definition(case):
+    kernel, xs, zs = case
+    got = cross_gram(kernel, xs, zs)
+    assert got.shape == (len(xs), len(zs))
+    for i, x in enumerate(xs):
+        for j, z in enumerate(zs):
+            want, scale = _pairwise(kernel, x, z)
+            assert abs(got[i, j] - want) <= 1e-12 * scale, (kernel.kind, i, j)
+
+
+_KERNEL_CALLERS = {
+    "gram": lambda kern, pts, model: gram(kern, pts),
+    "kernel_eval": lambda kern, pts, model: kernel_eval(kern, pts[0], pts[1]),
+    "KernelSpec.__call__": lambda kern, pts, model: kern(pts[0], pts[1]),
+    "nystrom_features": lambda kern, pts, model: kernel_approx.nystrom_features(model, pts),
+    "nystrom_gram_approx": lambda kern, pts, model: kernel_approx.nystrom_gram_approx(model, pts),
+    "nystrom_eigenfunction": lambda kern, pts, model: kernel_approx.nystrom_eigenfunction(
+        model, 0, pts[0]
+    ),
+}
+
+
+@pytest.mark.parametrize("caller", sorted(_KERNEL_CALLERS))
+def test_kernel_evaluation_routes_through_cross_gram(monkeypatch, caller):
+    """Every kernel value in the library, Gram or Nystrom, comes from
+    `cross_gram`: patched to raise, each caller must raise."""
+    kern = gaussian_kernel(1.0)
+    pts = list(Stream(3).normal(8).reshape(4, 2))
+    model = kernel_approx.nystrom_fit(kern, pts, 2)
+    for module in (kernels, kernel_approx):
+        monkeypatch.setattr(module, "cross_gram", _raiser("cross_gram"))
+    with pytest.raises(AssertionError, match="cross_gram called"):
+        _KERNEL_CALLERS[caller](kern, pts, model)
+
+
+@pytest.mark.parametrize("caller", sorted(_KERNEL_CALLERS))
+def test_kernel_evaluation_is_one_vectorized_call(monkeypatch, caller):
+    """No caller loops over points: each makes exactly one `cross_gram` call."""
+    kern = gaussian_kernel(1.0)
+    pts = list(Stream(3).normal(8).reshape(4, 2))
+    model = kernel_approx.nystrom_fit(kern, pts, 2)
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return cross_gram(*args)
+
+    for module in (kernels, kernel_approx):
+        monkeypatch.setattr(module, "cross_gram", counting)
+    _KERNEL_CALLERS[caller](kern, pts, model)
+    assert len(calls) == 1
+
+
+_PSD_GATED = {
+    "is_psd": lambda k: is_psd(k),
+    "mercer_decompose": lambda k: mercer_decompose(k, np.full(4, 0.25)),
+    "low_rank_factor": lambda k: linear_dr.low_rank_factor(k, 2),
+    "nystrom_fit": lambda k: kernel_approx.nystrom_fit(table_kernel(k), range(4), 2),
+}
+
+
+@pytest.mark.parametrize("caller", sorted(_PSD_GATED))
+def test_psd_checks_route_through_one_gate(monkeypatch, caller):
+    g = Stream(4).normal(16).reshape(4, 4)
+    k = g @ g.T
+    for module in (kernels, linear_dr, kernel_approx):
+        monkeypatch.setattr(module, "require_psd", _raiser("require_psd"))
+    with pytest.raises(AssertionError, match="require_psd called"):
+        _PSD_GATED[caller](k)
 
 
 def test_psd_battery():

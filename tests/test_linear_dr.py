@@ -113,6 +113,25 @@ def test_double_center_output_rows_sum_to_zero(n, seed):
     assert np.abs(g.sum(axis=1)).max() < 1e-9
 
 
+@settings(deadline=None, max_examples=80)
+@given(
+    st.integers(min_value=1, max_value=9).flatmap(
+        lambda n: st.lists(st.floats(0.0, 1e4), min_size=n * n, max_size=n * n).map(
+            lambda flat: np.reshape(flat, (n, n))
+        )
+    )
+)
+def test_distances_round_trip_through_double_center(raw):
+    """G = -J D J / 2 gives back D_ij = G_ii + G_jj - 2 G_ij for every
+    symmetric zero-diagonal D, Euclidean or not."""
+    d = raw + raw.T
+    np.fill_diagonal(d, 0.0)
+    g = double_center(d).values
+    diag = np.diag(g)
+    back = diag[:, None] + diag[None, :] - 2.0 * g
+    np.testing.assert_allclose(back, d, rtol=0, atol=1e-12 * max(1.0, d.max()))
+
+
 def test_double_center_rejects_bad_input():
     with pytest.raises(ValueError, match="nonnegative"):
         double_center([[0.0, -1.0], [-1.0, 0.0]])

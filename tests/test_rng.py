@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kernelcontrast.rng import Stream
 
@@ -30,6 +32,29 @@ def test_counter_mode_prefix_stability():
     first = again.uniform(60)
     second = again.uniform(40)
     np.testing.assert_array_equal(np.concatenate((first, second)), short)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    st.integers(min_value=0, max_value=2**64 - 1),
+    st.lists(st.integers(min_value=1, max_value=12), min_size=1, max_size=6),
+)
+def test_batched_draws_equal_one_at_a_time(seed, sizes):
+    """Any split of a draw into batches, down to single draws, gives the same
+    numbers. Normals come in Box-Muller pairs, so they split into pairs."""
+    total = sum(sizes)
+    draws = {
+        "uniform": lambda s, k: s.uniform(k, -2.0, 3.0),
+        "integers": lambda s, k: s.integers(k, 7),
+        "normal": lambda s, k: s.normal(2 * k),
+    }
+    for name, draw in draws.items():
+        whole = draw(Stream(seed), total)
+        batched, single = Stream(seed), Stream(seed)
+        in_batches = np.concatenate([draw(batched, k) for k in sizes])
+        one_by_one = np.concatenate([draw(single, 1) for _ in range(total)])
+        np.testing.assert_array_equal(in_batches, whole, name)
+        np.testing.assert_array_equal(one_by_one, whole, name)
 
 
 def test_uniform_range_and_mean():
