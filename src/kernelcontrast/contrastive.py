@@ -112,6 +112,9 @@ def corpus_stats(tokens, window: int) -> CorpusStats:
     Every position t contributes the pairs (x_t, x_{t+j}) for j from -m
     to m excluding 0, truncated at the sequence boundaries. Vocabulary
     order is sorted token order.
+
+    Each offset j in 1..m is one ``np.bincount`` of the flat codes
+    x_t·n + x_{t+j}; the negative offsets are the transpose of that sum.
     """
     tokens = [str(t) for t in tokens]
     if not tokens:
@@ -120,16 +123,14 @@ def corpus_stats(tokens, window: int) -> CorpusStats:
         raise ValueError(f"window must be at least 1, got {window}")
     vocab = sorted(set(tokens))
     index = {tok: i for i, tok in enumerate(vocab)}
-    ids = [index[t] for t in tokens]
     n = len(vocab)
-    counts = np.zeros((n, n))
-    t_total = len(ids)
-    for t, x in enumerate(ids):
-        lo = max(0, t - window)
-        hi = min(t_total, t + window + 1)
-        for j in range(lo, hi):
-            if j != t:
-                counts[x, ids[j]] += 1.0
+    t_total = len(tokens)
+    ids = np.fromiter((index[t] for t in tokens), dtype=np.intp, count=t_total)
+    forward = np.zeros(n * n, dtype=np.int64)
+    for offset in range(1, min(window, t_total - 1) + 1):
+        forward += np.bincount(ids[:-offset] * n + ids[offset:], minlength=n * n)
+    forward = forward.reshape(n, n)
+    counts = (forward + forward.T).astype(float)
     n_pairs = int(counts.sum())
     unigram = np.bincount(ids, minlength=n).astype(float) / t_total
     row = counts.sum(axis=1)

@@ -5,8 +5,9 @@ bare callable, so Gram construction, PSD checks, and serialization can
 dispatch on the kind. The toolbox (PCA, MDS, ISOMAP, LLE, Laplacian
 eigenmaps, Nystrom) decomposes with `eigh`, which is LAPACK. The oracles
 (`mercer_decompose`, `low_rank_factor`, `is_psd`) use `jacobi_eigh`, a
-hand-rolled cyclic Jacobi iteration accurate to high relative precision,
-so no toolbox result is checked by its own eigensolver.
+hand-rolled Jacobi iteration in round-robin (parallel) ordering, accurate
+to high relative precision, so no toolbox result is checked by its own
+eigensolver.
 """
 
 from __future__ import annotations
@@ -146,13 +147,35 @@ def eigh(matrix) -> EigenDecomposition:
     return _finish(eigenvalues, vectors)
 
 
-def jacobi_eigh(matrix, tol: float = 1e-12, max_sweeps: int = 60) -> EigenDecomposition:
-    """Cyclic Jacobi eigendecomposition of a symmetric matrix.
+def _round_robin(n: int) -> list[np.ndarray]:
+    """One Jacobi sweep in round-robin (Brent & Luk 1985) parallel order.
 
-    Sweeps rotate the (p, q) planes in fixed row-major order until the
-    off-diagonal Frobenius mass drops below ``tol`` times the Frobenius
-    norm of the input. Eigenvalues come back sorted descending; each
-    eigenvector column has its largest-magnitude entry made positive.
+    Indices 1..m-1 rotate past a fixed index 0, with m = n rounded up to
+    even, and each of the m - 1 rounds pairs seat i with seat m-1-i. Pairs
+    with the padded index n (odd n only) are dropped, so a round is
+    k = n // 2 disjoint planes and a sweep meets every plane once. A round
+    is one index array [p, reversed q], p < q: entries i and 2k-1-i span a
+    plane."""
+    m = n + n % 2
+    rounds = []
+    for r in range(m - 1):
+        seats = np.concatenate(([0], np.roll(np.arange(1, m), r)))
+        left, right = seats[: m // 2], seats[::-1][: m // 2]
+        p, q = np.minimum(left, right), np.maximum(left, right)
+        keep = q < n
+        rounds.append(np.concatenate((p[keep], q[keep][::-1])))
+    return rounds
+
+
+def jacobi_eigh(matrix, tol: float = 1e-12, max_sweeps: int = 60) -> EigenDecomposition:
+    """Jacobi eigendecomposition of a symmetric matrix.
+
+    Sweeps rotate every (p, q) plane once, in round-robin (parallel)
+    ordering: each round rotates a set of disjoint planes together. Once
+    the off-diagonal Frobenius mass has dropped below ``tol`` times the
+    Frobenius norm of the input, one more sweep runs and the iteration
+    stops. Eigenvalues come back sorted descending; each eigenvector column
+    has its largest-magnitude entry made positive.
 
     Parameters
     ----------
@@ -161,52 +184,57 @@ def jacobi_eigh(matrix, tol: float = 1e-12, max_sweeps: int = 60) -> EigenDecomp
     tol : float
         Relative off-diagonal convergence threshold.
     max_sweeps : int
-        Safety cap on full sweeps; cyclic Jacobi converges quadratically
-        so realistic inputs finish in far fewer.
+        Safety cap on the sweeps before the off-diagonal test passes;
+        Jacobi converges quadratically so realistic inputs need far fewer.
     """
-    a = _solver_input(matrix).copy()
+    a = _solver_input(matrix)
     n = a.shape[0]
-    v = np.eye(n)
+    # A above V in one array, so one column update turns both.
+    stacked = np.vstack((a, np.eye(n)))
+    a, v = stacked[:n], stacked[n:]
     threshold = tol * float(np.linalg.norm(a))
+    rounds = _round_robin(n)
+    k = n // 2
 
     for sweep in range(max_sweeps + 1):
         off = np.sqrt(2.0 * np.square(np.triu(a, 1)).sum())
-        if off <= threshold:
-            break
-        if sweep == max_sweeps:
+        converged = off <= threshold
+        if sweep == max_sweeps and not converged:
             raise RuntimeError(
                 f"Jacobi iteration failed to converge in {max_sweeps} sweeps "
                 f"(n={n}, residual {off:.3e} > {threshold:.3e})"
             )
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if apq == 0.0:
-                    continue
-                tau = (a[q, q] - a[p, p]) / (2.0 * apq)
-                # hypot instead of sqrt(1 + tau^2): tau^2 overflows when
-                # the off-diagonal entry is many orders below the diagonal
-                # gap, and the rotation must still come out as ~1/(2 tau).
-                if tau >= 0.0:
-                    t = 1.0 / (tau + np.hypot(1.0, tau))
-                else:
-                    t = -1.0 / (-tau + np.hypot(1.0, tau))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                # Two-sided rotation A <- J^T A J in the (p, q) plane.
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = c * col_p - s * col_q
-                a[:, q] = s * col_p + c * col_q
-                row_p = a[p, :].copy()
-                row_q = a[q, :].copy()
-                a[p, :] = c * row_p - s * row_q
-                a[q, :] = s * row_p + c * row_q
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                vec_p = v[:, p].copy()
-                v[:, p] = c * vec_p - s * v[:, q]
-                v[:, q] = s * vec_p + c * v[:, q]
+        for plane in rounds:
+            p, q = plane[:k], plane[::-1][:k]
+            apq = a[p, q]
+            diag = a[plane, plane]
+            skip = apq == 0.0
+            # A zero pivot makes tau 0/0 or x/0; that plane keeps c = 1, s = 0.
+            with np.errstate(divide="ignore", invalid="ignore"):
+                tau = (diag[::-1][:k] - diag[:k]) / (2.0 * apq)
+                # hypot instead of sqrt(1 + tau^2): tau^2 overflows when the
+                # off-diagonal entry is many orders below the diagonal gap,
+                # and the rotation must still come out as ~1/(2 tau).
+                t = np.where(tau >= 0.0, 1.0, -1.0) / (np.abs(tau) + np.hypot(1.0, tau))
+                c = np.where(skip, 1.0, 1.0 / np.sqrt(1.0 + t * t))
+                s = np.where(skip, 0.0, t * c)
+            # Two-sided rotation A <- J^T A J and V <- V J. The planes are
+            # disjoint, so all columns turn at once and then all rows: entry i
+            # of `plane` pairs with entry 2k-1-i, which is the reversed array,
+            # and new_p = c x_p - s x_q, new_q = c x_q + s x_p.
+            cos = np.concatenate((c, c[::-1]))
+            sin = np.concatenate((s, -s[::-1]))
+            cols = stacked[:, plane]
+            stacked[:, plane] = cos * cols - sin * cols[:, ::-1]
+            rows = a[plane, :]
+            a[plane, :] = cos[:, None] * rows - sin[:, None] * rows[::-1]
+            a[plane, plane[::-1]] = 0.0
+        # One sweep past the test: convergence is quadratic by then, so this
+        # takes the off-diagonal mass from tol * |A| to rounding level, and an
+        # eigenvector whose eigenvalue gap is g errs by ~eps |A| / g rather
+        # than by up to tol * |A| / g.
+        if converged:
+            break
     return _finish(np.diag(a), v)
 
 
