@@ -1,20 +1,34 @@
 """`kc`: data generation, reduction, approximation, training, verification.
 
-Conventions shared by every subcommand: flags beat the config file; the
-KC_SEED environment variable beats the config's seed but not an explicit
---seed flag; every run that writes an output file writes a RunManifest
-JSON next to it. Exit codes: 0 success, 1 failure (including a failed
-verify suite), 2 usage error.
+Every subcommand is one table of option declarations plus one body. A
+declaration gives an option's flag, type, default, the methods that read
+it and whether it is required or one of an exactly-one-of group; the
+argparse parser, the resolver and the manifest are all built from it.
+
+Each settable option resolves in one order: the flag, then the KC_SEED
+environment variable (seed only), then the config file's section named
+after the subcommand, then its [kc] section, then the default. A config
+key is an option's flag name without the dashes; a key in the running
+subcommand's own section (or, for `contrast` and `eigenfun`, in
+[optimizer]) that names none of its settable options is a usage error.
+
+Every run that writes an output file writes a RunManifest JSON next to
+it, whose flags are the resolved values of the options the run read
+(null for the others) plus, for training commands, the resolved
+[optimizer] settings. Exit codes: 0 success, 1 failure (including a
+failed verify suite), 2 usage error.
 """
 
 from __future__ import annotations
 
 import argparse
 import configparser
+import dataclasses
 import json
 import os
 import sys
 import time
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -60,15 +74,76 @@ from .manifold import (
     laplacian_eigenmaps,
     lle_embed,
     lle_weights,
+    pairwise_distances,
     swiss_roll,
 )
 from .manifest import load_manifest, make_manifest, write_manifest
 from .svgplot import line_chart, scatter_panels
-from .verify import UnknownSuiteError, run_suite, report_json
+from .verify import UnknownSuiteError, run_suite
 
 
 class UsageError(ValueError):
     """Flag combination or value the parser alone cannot reject."""
+
+
+# ---------------------------------------------------------------------------
+# declarations
+
+
+class _Opt:
+    """One option of one subcommand.
+
+    ``flag`` is the argparse spelling; without its dashes it is also the
+    config key, and with dashes turned to underscores the manifest key.
+    A positional argument, or an option declared ``fixed``, is read from
+    the command line only. ``reads`` is the tuple of methods (the value of
+    the command's first fixed argument) that read the option, or a
+    predicate on the values resolved before it; None means every method.
+    Among the read options that share a ``group``, exactly one must have a
+    value; ``required`` makes an option a group of its own. ``default`` may
+    be a function of the other resolved values. ``hashed`` options name
+    input files whose digests the manifest records.
+    """
+
+    def __init__(self, flag, cast=str, default=None, *, reads=None, required=False,
+                 group=None, hashed=False, choices=None, fixed=False, nargs=None, help=None):
+        self.flag = flag
+        self.name = flag.lstrip("-")
+        self.dest = self.name.replace("-", "_")
+        self.positional = not flag.startswith("-")
+        self.fixed = fixed or self.positional
+        self.cast, self.default, self.reads = cast, default, reads
+        self.group = self.name if required else group
+        self.hashed, self.choices, self.nargs, self.help = hashed, choices, nargs, help
+
+    def add_to(self, parser) -> None:
+        kwargs = {"type": self.cast, "choices": self.choices, "help": self.help}
+        if self.nargs:
+            kwargs["nargs"] = self.nargs
+        if self.fixed and not self.positional:
+            kwargs["required"] = True
+        parser.add_argument(self.flag, **kwargs)
+
+
+@dataclasses.dataclass(frozen=True)
+class _Command:
+    help: str
+    body: object  # SimpleNamespace of resolved values -> _Outcome
+    options: tuple
+    trains: bool = False  # reads [optimizer] and records its settings
+    sidecar: object = lambda v: v["output"] and v["output"] + ".manifest.json"
+
+
+@dataclasses.dataclass
+class _Outcome:
+    """What a command body hands back to the run wrapper."""
+
+    message: str
+    metrics: dict
+    fits: tuple = ()
+    tables: dict = dataclasses.field(default_factory=dict)  # path -> (rows, comment)
+    json: dict = dataclasses.field(default_factory=dict)  # path or None -> payload
+    code: int = 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -79,90 +154,15 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="INI config file; flags override it")
     parser.add_argument("--version", action="version", version=f"kc {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    gen = sub.add_parser("gen", help="generate a dataset")
-    gen.add_argument("shape", choices=["swiss-roll"])
-    gen.add_argument("--n", type=int)
-    gen.add_argument("--noise", type=float)
-    gen.add_argument("--seed", type=int)
-    gen.add_argument("--output", required=True)
-
-    red = sub.add_parser("reduce", help="dimensionality reduction")
-    red.add_argument("--method", required=True, choices=["pca", "mds", "isomap", "lle", "le"])
-    red.add_argument("--dim", type=int)
-    red.add_argument("--input")
-    red.add_argument(
-        "--columns",
-        help="comma-separated input column indices (default: all), e.g. 0,1,2 "
-        "to drop the latent columns of a generated dataset",
-    )
-    red.add_argument("--distances", help="symmetric distance CSV (mds)")
-    red.add_argument("--eps", type=float)
-    red.add_argument("--knn", type=int)
-    red.add_argument("--t", type=float, help="gaussian edge-weight bandwidth (le)")
-    red.add_argument("--seed", type=int)
-    red.add_argument("--output", required=True)
-
-    ka = sub.add_parser("kernel-approx", help="low-rank / random kernel features")
-    ka.add_argument("--method", required=True, choices=["nystrom", "rff"])
-    ka.add_argument("--input", required=True)
-    ka.add_argument("--columns", help="comma-separated input column indices (default: all)")
-    ka.add_argument("--kernel", choices=["gaussian", "linear", "polynomial"])
-    ka.add_argument("--sigma2", type=float)
-    ka.add_argument("--degree", type=int)
-    ka.add_argument("--landmarks", type=int)
-    ka.add_argument("--rank", type=int)
-    ka.add_argument("--features", type=int)
-    ka.add_argument("--seed", type=int)
-    ka.add_argument("--output", required=True)
-    ka.add_argument("--report", help="JSON kernel-error report path")
-
-    con = sub.add_parser("contrast", help="contrastive training")
-    con.add_argument("algo", choices=["sgns", "infonce", "spectral"])
-    con.add_argument("--corpus")
-    con.add_argument("--window", type=int)
-    con.add_argument("--k", type=float)
-    con.add_argument("--neg-exponent", type=float, dest="neg_exponent")
-    con.add_argument("--activation", choices=["sigmoid", "k_sigmoid"])
-    con.add_argument("--process")
-    con.add_argument("--dim", type=int)
-    con.add_argument("--tau", type=float)
-    con.add_argument("--batch", type=int)
-    con.add_argument("--mode", choices=["untied", "tied"])
-    con.add_argument("--seed", type=int)
-    con.add_argument("--output", required=True)
-    con.add_argument("--context-output", dest="context_output")
-
-    eig = sub.add_parser("eigenfun", help="kernel eigenfunction recovery")
-    eig.add_argument("--kernel", required=True, help="symmetric kernel table CSV")
-    eig.add_argument("--p", required=True, help="distribution CSV (one row or column)")
-    eig.add_argument("--dim", type=int)
-    eig.add_argument("--seed", type=int)
-    eig.add_argument("--output", required=True)
-    eig.add_argument("--report", help="JSON oracle-comparison path")
-
-    ana = sub.add_parser("analyze", help="process graph quantities")
-    ana.add_argument("quantity", choices=["conductance"])
-    ana.add_argument("--process", required=True)
-    ana.add_argument("--subset", help="comma-separated item indices")
-    ana.add_argument("--parts", type=int, help="partition count for the sparsest cut")
-    ana.add_argument("--output")
-
-    ver = sub.add_parser("verify", help="run a named oracle suite")
-    ver.add_argument("suite")
-    ver.add_argument("--seed", type=int)
-    ver.add_argument("--output", help="write the JSON report here")
-
-    rep = sub.add_parser("report", help="summarize manifests, emit plots")
-    rep.add_argument("--manifests", nargs="+", required=True)
-    rep.add_argument("--outdir", required=True)
-    rep.add_argument("--seed", type=int)
-
+    for name, command in _COMMANDS.items():
+        subparser = sub.add_parser(name, help=command.help)
+        for opt in command.options:
+            opt.add_to(subparser)
     return parser
 
 
 # ---------------------------------------------------------------------------
-# config resolution
+# resolution
 
 
 def _load_config(path: str | None) -> configparser.ConfigParser | None:
@@ -170,21 +170,13 @@ def _load_config(path: str | None) -> configparser.ConfigParser | None:
         return None
     if not os.path.exists(path):
         raise UsageError(f"config file not found: {path}")
-    cfg = configparser.ConfigParser()
-    cfg.read(path)
+    # Values are literal: a '%' in a path is a character, not interpolation.
+    cfg = configparser.ConfigParser(interpolation=None)
+    try:
+        cfg.read(path)
+    except configparser.Error as exc:
+        raise UsageError(f"config file {path} is malformed: {exc}") from None
     return cfg
-
-
-def _resolve(args, config, section: str, name: str, cast, default):
-    """Flag if given, else config [section]/[kc], else the default."""
-    value = getattr(args, name.replace("-", "_"), None)
-    if value is not None:
-        return value
-    if config is not None:
-        for sec in (section, "kc"):
-            if config.has_option(sec, name):
-                return _cast(sec, name, config.get(sec, name), cast)
-    return default
 
 
 def _cast(section: str, name: str, raw: str, cast):
@@ -196,33 +188,88 @@ def _cast(section: str, name: str, raw: str, cast):
         ) from None
 
 
-def _resolve_seed(args, config, section: str) -> int:
-    if getattr(args, "seed", None) is not None:
-        return args.seed
-    env = os.environ.get("KC_SEED")
-    if env is not None:
+def _check_keys(config, section: str, names) -> None:
+    if config is None or not config.has_section(section):
+        return
+    for key in config[section]:
+        if key not in names:
+            raise UsageError(
+                f"config [{section}] has unknown key {key!r}; it takes {', '.join(names)}"
+            )
+
+
+def _lookup(opt: _Opt, args, config, section: str):
+    """Flag, then KC_SEED for the seed, then [section], then [kc], else None."""
+    value = getattr(args, opt.dest)
+    if value is None and opt.name == "seed" and "KC_SEED" in os.environ:
+        env = os.environ["KC_SEED"]
         try:
-            return int(env)
+            value = int(env)
         except ValueError:
             raise UsageError(f"KC_SEED={env!r} is not an integer") from None
-    return _resolve(args, config, section, "seed", int, 0)
+    for sec in (section, "kc"):
+        if value is None and config is not None and config.has_option(sec, opt.name):
+            value = _cast(sec, opt.name, config.get(sec, opt.name), opt.cast)
+            if opt.choices is not None and value not in opt.choices:
+                raise UsageError(
+                    f"config [{sec}] {opt.name} = {value!r} is not one of {opt.choices}"
+                )
+    return value
 
 
-def _optimizer_config(config, seed: int) -> OptimizerConfig:
-    """Optimizer settings come from the [optimizer] config section."""
-    kwargs = {"seed": seed}
+def _resolve(name: str, command: _Command, args, config) -> dict:
+    """Every option's value for this run; None for those it does not read."""
+    _check_keys(config, name, [o.name for o in command.options if not o.fixed])
+    fixed = [o for o in command.options if o.fixed]
+    selector = fixed[0].dest if fixed else None
+    values: dict = {}
+    read = set()
+    for opt in command.options:
+        values[opt.dest] = None
+        if opt.fixed:
+            values[opt.dest] = getattr(args, opt.dest)
+            read.add(opt.dest)
+        elif (opt.reads is None
+              or (opt.reads(values) if callable(opt.reads) else values[selector] in opt.reads)):
+            value = _lookup(opt, args, config, name)
+            if value is None and not callable(opt.default):
+                value = opt.default
+            values[opt.dest] = value
+            read.add(opt.dest)
+
+    groups: dict = {}
+    for opt in command.options:
+        if opt.group is not None and opt.dest in read:
+            groups.setdefault(opt.group, []).append(opt)
+    for members in groups.values():
+        if sum(values[o.dest] is not None for o in members) != 1:
+            run = " ".join(
+                [name] + [str(values[o.dest]) if o.positional else f"{o.flag} {values[o.dest]}"
+                          for o in fixed if not o.nargs]
+            )
+            flags = " or ".join(o.flag for o in members)
+            raise UsageError(f"{run} needs {'exactly one of ' if len(members) > 1 else ''}{flags}")
+
+    for opt in command.options:
+        if callable(opt.default) and opt.dest in read and values[opt.dest] is None:
+            values[opt.dest] = opt.default(values)
+    return values
+
+
+def _optimizer_settings(config) -> dict:
+    """The [optimizer] section over OptimizerConfig's defaults (bar the seed)."""
+    settings = {
+        f.name: f.default for f in dataclasses.fields(OptimizerConfig) if f.name != "seed"
+    }
+    _check_keys(config, "optimizer", list(settings))
     if config is not None and config.has_section("optimizer"):
-        sec = config["optimizer"]
-        for key, cast in (
-            ("step_size", float),
-            ("max_iter", int),
-            ("tol", float),
-            ("armijo_c", float),
-            ("min_step", float),
-        ):
-            if key in sec:
-                kwargs[key] = _cast("optimizer", key, sec[key], cast)
-    return OptimizerConfig(**kwargs)
+        for key, raw in config["optimizer"].items():
+            settings[key] = _cast("optimizer", key, raw, type(settings[key]))
+    return settings
+
+
+# ---------------------------------------------------------------------------
+# the run wrapper
 
 
 def _optimizer_block(fits) -> list:
@@ -249,183 +296,154 @@ def _warn_max_iter(fits) -> None:
         )
 
 
-def _emit(path: str, manifest) -> None:
-    write_manifest(path + ".manifest.json", manifest)
+def _json(payload) -> str:
+    return json.dumps(payload, sort_keys=True, indent=2)
+
+
+def _run(name: str, args) -> int:
+    """Resolve, run the body, write its outputs and manifest, map errors
+    to exit codes."""
+    command = _COMMANDS[name]
+    try:
+        started = time.time()
+        config = _load_config(args.config)
+        values = _resolve(name, command, args, config)
+        seed = values.get("seed", 0)
+        flags = {dest: value for dest, value in values.items() if dest != "seed"}
+        run = SimpleNamespace(**values)
+        if command.trains:
+            flags["optimizer"] = _optimizer_settings(config)
+            run.optimizer = OptimizerConfig(seed=seed, **flags["optimizer"])
+        outcome = command.body(run)
+
+        for path, (rows, comment) in outcome.tables.items():
+            ensure_parent(path)
+            save_matrix_csv(path, rows, comments=[comment])
+        for path, payload in outcome.json.items():
+            if path is not None:
+                ensure_parent(path)
+                with open(path, "w") as fh:
+                    fh.write(_json(payload) + "\n")
+        sidecar = command.sidecar(values)
+        if sidecar:
+            inputs = []
+            for opt in command.options:
+                if opt.hashed and values[opt.dest] is not None:
+                    inputs += values[opt.dest] if opt.nargs else [values[opt.dest]]
+            manifest = make_manifest(
+                name, flags, inputs, seed, outcome.metrics, started, __version__,
+                optimizer=_optimizer_block(outcome.fits),
+            )
+            write_manifest(sidecar, manifest)
+        _warn_max_iter(outcome.fits)
+        print(outcome.message)
+        return outcome.code
+    except (UsageError, UnknownSuiteError) as exc:
+        print(f"kc: usage error: {exc}", file=sys.stderr)
+        return 2
+    except (ParseError, ValueError, OSError, RuntimeError) as exc:
+        print(f"kc: error: {exc}", file=sys.stderr)
+        return 1
+
+
+# ---------------------------------------------------------------------------
+# subcommand bodies: resolved values in, outputs, metrics, fits, message out
+
+
+def _index_list(flag: str, spec: str) -> list:
+    try:
+        return [int(c) for c in spec.split(",") if c.strip() != ""]
+    except ValueError:
+        raise UsageError(f"{flag} {spec!r} is not a comma-separated index list") from None
 
 
 def _select_columns(data: np.ndarray, spec: str | None) -> np.ndarray:
     if spec is None:
         return data
-    try:
-        cols = [int(c) for c in spec.split(",") if c.strip() != ""]
-    except ValueError:
-        raise UsageError(f"--columns {spec!r} is not a comma-separated index list") from None
+    cols = _index_list("--columns", spec)
     if not cols or max(cols) >= data.shape[1] or min(cols) < 0:
         raise UsageError(f"--columns indices must lie in [0, {data.shape[1] - 1}]")
     return data[:, cols]
 
 
-# ---------------------------------------------------------------------------
-# subcommands
-
-
-def _cmd_gen(args, config) -> int:
-    started = time.time()
-    seed = _resolve_seed(args, config, "gen")
-    n = _resolve(args, config, "gen", "n", int, 400)
-    noise = _resolve(args, config, "gen", "noise", float, 0.0)
-    data, latent = swiss_roll(n, noise=noise, seed=seed)
-    ensure_parent(args.output)
-    save_matrix_csv(
-        args.output,
-        np.column_stack((data, latent)),
-        comments=["columns: x,y,z,latent_t,latent_h"],
+def _gen(v) -> _Outcome:
+    data, latent = swiss_roll(v.n, noise=v.noise, seed=v.seed)
+    return _Outcome(
+        f"wrote {v.output} ({v.n} rows)",
+        {"rows": v.n},
+        tables={v.output: (np.column_stack((data, latent)), "columns: x,y,z,latent_t,latent_h")},
     )
-    flags = {"shape": args.shape, "n": n, "noise": noise, "output": args.output}
-    manifest = make_manifest(
-        "gen", flags, [], seed, {"rows": n}, started, __version__
-    )
-    _emit(args.output, manifest)
-    print(f"wrote {args.output} ({n} rows)")
-    return 0
 
 
-def _cmd_reduce(args, config) -> int:
-    started = time.time()
-    seed = _resolve_seed(args, config, "reduce")
-    dim = _resolve(args, config, "reduce", "dim", int, 2)
-    method = args.method
-    inputs = []
+def _reduce(v) -> _Outcome:
     metrics: dict = {}
-
-    if method == "mds" and args.distances is not None:
-        dist = load_sym_csv(args.distances)
-        inputs.append(args.distances)
-        result = mds_embed(dist, dim)
+    if v.distances is not None:
+        result = mds_embed(load_sym_csv(v.distances), v.dim)
+    else:
+        data = _select_columns(load_matrix_csv(v.input), v.columns)
+        if v.method == "pca":
+            model = pca_fit(data, v.dim)
+            emb = pca_transform(model, data)
+            total = model.eigenvalues.sum()
+            kept = model.eigenvalues[:v.dim].sum()
+            metrics["variance_kept"] = float(kept / total) if total > 0 else 1.0
+        elif v.method == "mds":
+            result = mds_embed(pairwise_distances(data), v.dim)
+        elif v.method == "isomap":
+            emb = isomap(data, v.dim, eps=v.eps, knn=v.knn)
+        elif v.method == "lle":
+            emb = lle_embed(lle_weights(data, v.knn), v.dim)
+        else:
+            emb = laplacian_eigenmaps(data, v.dim, v.t, eps=v.eps, knn=v.knn)
+    if v.method == "mds":
         emb = result.embeddings
         metrics["reconstruction_error"] = result.reconstruction_error
         metrics["clamped_count"] = result.clamped_count
-    else:
-        if args.input is None:
-            raise UsageError(f"reduce --method {method} needs --input")
-        data = _select_columns(load_matrix_csv(args.input), args.columns)
-        inputs.append(args.input)
-        if method == "pca":
-            model = pca_fit(data, dim)
-            emb = pca_transform(model, data)
-            total = model.eigenvalues.sum()
-            kept = model.eigenvalues[:dim].sum()
-            metrics["variance_kept"] = float(kept / total) if total > 0 else 1.0
-        elif method == "mds":
-            from .manifold import pairwise_distances
-
-            result = mds_embed(pairwise_distances(data), dim)
-            emb = result.embeddings
-            metrics["reconstruction_error"] = result.reconstruction_error
-            metrics["clamped_count"] = result.clamped_count
-        elif method == "isomap":
-            emb = isomap(data, dim, eps=args.eps, knn=args.knn)
-        elif method == "lle":
-            knn = _resolve(args, config, "reduce", "knn", int, None)
-            if knn is None:
-                raise UsageError("reduce --method lle needs --knn")
-            emb = lle_embed(lle_weights(data, knn), dim)
-        else:
-            t = _resolve(args, config, "reduce", "t", float, 1.0)
-            emb = laplacian_eigenmaps(data, dim, t, eps=args.eps, knn=args.knn)
-
-    ensure_parent(args.output)
-    save_matrix_csv(args.output, emb, comments=[f"{method} embedding, d={dim}"])
-    flags = {
-        "method": method,
-        "dim": dim,
-        "input": args.input,
-        "columns": args.columns,
-        "distances": args.distances,
-        "eps": args.eps,
-        "knn": args.knn,
-        "t": args.t,
-        "output": args.output,
-    }
-    manifest = make_manifest("reduce", flags, inputs, seed, metrics, started, __version__)
-    _emit(args.output, manifest)
-    print(f"wrote {args.output} ({emb.shape[0]} x {emb.shape[1]})")
-    return 0
+    return _Outcome(
+        f"wrote {v.output} ({emb.shape[0]} x {emb.shape[1]})",
+        metrics,
+        tables={v.output: (emb, f"{v.method} embedding, d={v.dim}")},
+    )
 
 
-def _build_kernel(args, config):
-    kind = _resolve(args, config, "kernel-approx", "kernel", str, "gaussian")
-    if kind == "gaussian":
-        sigma2 = _resolve(args, config, "kernel-approx", "sigma2", float, 1.0)
-        return gaussian_kernel(sigma2)
-    if kind == "polynomial":
-        degree = _resolve(args, config, "kernel-approx", "degree", int, 2)
-        return polynomial_kernel(degree)
-    return linear_kernel()
-
-
-def _cmd_kernel_approx(args, config) -> int:
-    started = time.time()
-    seed = _resolve_seed(args, config, "kernel-approx")
-    data = _select_columns(load_matrix_csv(args.input), args.columns)
+def _kernel_approx(v) -> _Outcome:
+    data = _select_columns(load_matrix_csv(v.input), v.columns)
     n = data.shape[0]
-    kernel = _build_kernel(args, config)
+    if v.kernel == "gaussian":
+        kernel = gaussian_kernel(v.sigma2)
+    elif v.kernel == "polynomial":
+        kernel = polynomial_kernel(v.degree)
+    else:
+        kernel = linear_kernel()
     metrics: dict = {}
 
-    if args.method == "nystrom":
-        m = _resolve(args, config, "kernel-approx", "landmarks", int, None)
-        rank = _resolve(args, config, "kernel-approx", "rank", int, None)
-        if m is None or rank is None:
-            raise UsageError("kernel-approx --method nystrom needs --landmarks and --rank")
-        if m > n:
-            raise UsageError(f"--landmarks {m} exceeds the {n} input points")
-        idx = sample_landmarks(n, m, seed)
-        model = nystrom_fit(kernel, [data[i] for i in idx], rank)
+    if v.method == "nystrom":
+        if v.landmarks > n:
+            raise UsageError(f"--landmarks {v.landmarks} exceeds the {n} input points")
+        idx = sample_landmarks(n, v.landmarks, v.seed)
+        model = nystrom_fit(kernel, [data[i] for i in idx], v.rank)
         feats = nystrom_features(model, data)
         metrics["usable_rank"] = model.usable_rank
-        flags = {"method": "nystrom", "landmarks": m, "rank": rank}
     else:
-        d = _resolve(args, config, "kernel-approx", "features", int, None)
-        if d is None:
-            raise UsageError("kernel-approx --method rff needs --features")
-        if kernel.kind != "gaussian":
+        if v.kernel != "gaussian":
             raise UsageError("random Fourier features require the gaussian kernel")
-        model = rff_sample(kernel.sigma2, d, data.shape[1], seed)
-        feats = rff_features(model, data)
-        flags = {"method": "rff", "features": d}
+        feats = rff_features(rff_sample(v.sigma2, v.features, data.shape[1], v.seed), data)
 
-    approx = feats @ feats.T
-    exact = gram(kernel, data).values
-    err = np.abs(approx - exact)
+    err = np.abs(feats @ feats.T - gram(kernel, data).values)
     metrics["max_abs_error"] = float(err.max())
     metrics["mean_abs_error"] = float(err.mean())
-
-    ensure_parent(args.output)
-    save_matrix_csv(args.output, feats, comments=[f"{args.method} features"])
-    if args.report:
-        ensure_parent(args.report)
-        with open(args.report, "w") as fh:
-            json.dump(
-                {
-                    "method": args.method,
-                    "max_abs_error": metrics["max_abs_error"],
-                    "mean_abs_error": metrics["mean_abs_error"],
-                    "points": n,
-                },
-                fh,
-                sort_keys=True,
-                indent=2,
-            )
-            fh.write("\n")
-    flags.update({"kernel": kernel.kind, "input": args.input, "output": args.output})
-    manifest = make_manifest(
-        "kernel-approx", flags, [args.input], seed, metrics, started, __version__
+    report = {
+        "method": v.method,
+        "max_abs_error": metrics["max_abs_error"],
+        "mean_abs_error": metrics["mean_abs_error"],
+        "points": n,
+    }
+    return _Outcome(
+        f"wrote {v.output}; max |K_hat - K| = {metrics['max_abs_error']:.3e}",
+        metrics,
+        tables={v.output: (feats, f"{v.method} features")},
+        json={v.report: report},
     )
-    _emit(args.output, manifest)
-    print(
-        f"wrote {args.output}; max |K_hat - K| = {metrics['max_abs_error']:.3e}"
-    )
-    return 0
 
 
 def _context_path(output: str) -> str:
@@ -433,263 +451,121 @@ def _context_path(output: str) -> str:
     return f"{stem}.context{ext or '.csv'}"
 
 
-def _cmd_contrast(args, config) -> int:
-    started = time.time()
-    seed = _resolve_seed(args, config, "contrast")
-    dim = _resolve(args, config, "contrast", "dim", int, 2)
-    opt = _optimizer_config(config, seed)
+def _contrast(v) -> _Outcome:
     metrics: dict = {}
-    inputs = []
-    algo = args.algo
-
-    if algo == "sgns":
-        if args.corpus is None:
-            raise UsageError("contrast sgns needs --corpus")
-        window = _resolve(args, config, "contrast", "window", int, 1)
-        k = _resolve(args, config, "contrast", "k", float, 1.0)
-        activation = _resolve(args, config, "contrast", "activation", str, "sigmoid")
-        neg_exponent = _resolve(args, config, "contrast", "neg-exponent", float, 1.0)
-        tokens = load_corpus(args.corpus)
-        inputs.append(args.corpus)
-        stats = corpus_stats(tokens, window)
+    ctx_rows = None
+    if v.algo == "sgns":
+        stats = corpus_stats(load_corpus(v.corpus), v.window)
         phi, psi = train_sgns(
-            stats, dim, k, config=opt, activation=activation, neg_exponent=neg_exponent
+            stats, v.dim, v.k, config=v.optimizer, activation=v.activation,
+            neg_exponent=v.neg_exponent,
         )
-        fits = phi.fits
+        rows, ctx_rows, fits, items = phi.rows, psi.rows, phi.fits, stats.space.items
         metrics["loss"] = sgns_expected_loss(
-            phi, psi, stats, k, activation=activation, neg_exponent=neg_exponent
+            phi, psi, stats, v.k, activation=v.activation, neg_exponent=v.neg_exponent
         )
-        if np.all(stats.counts > 0) and dim >= stats.space.n and neg_exponent == 1.0:
-            shift = k if activation == "sigmoid" else 1.0
-            target = shifted_pmi_matrix(stats, shift)
-            metrics["pmi_gap"] = float(
-                np.abs(phi.rows @ psi.rows.T - target).max()
-            )
-        ensure_parent(args.output)
-        items = " ".join(str(i) for i in stats.space.items)
-        save_matrix_csv(args.output, phi.rows, comments=[f"items: {items}"])
-        ctx = args.context_output or _context_path(args.output)
-        save_matrix_csv(ctx, psi.rows, comments=[f"items: {items}"])
-        flags = {
-            "algo": algo,
-            "corpus": args.corpus,
-            "window": window,
-            "k": k,
-            "activation": activation,
-            "neg_exponent": neg_exponent,
-            "dim": dim,
-            "output": args.output,
-            "context_output": ctx,
-        }
+        if np.all(stats.counts > 0) and v.dim >= stats.space.n and v.neg_exponent == 1.0:
+            target = shifted_pmi_matrix(stats, v.k if v.activation == "sigmoid" else 1.0)
+            metrics["pmi_gap"] = float(np.abs(phi.rows @ psi.rows.T - target).max())
     else:
-        if args.process is None:
-            raise UsageError(f"contrast {algo} needs --process")
-        process = load_process(args.process)
-        inputs.append(args.process)
-        items = " ".join(str(i) for i in process.space.items)
-        if algo == "infonce":
-            tau = _resolve(args, config, "contrast", "tau", float, 1.0)
-            batch = _resolve(args, config, "contrast", "batch", int, 2)
-            mode = _resolve(args, config, "contrast", "mode", str, "untied")
+        process = load_process(v.process)
+        items = process.space.items
+        if v.algo == "infonce":
             result = train_infonce(
-                process, dim, tau=tau, b=batch, config=opt, mode=mode
+                process, v.dim, tau=v.tau, b=v.batch, config=v.optimizer, mode=v.mode
             )
-            if mode == "untied":
+            if v.mode == "untied":
                 f, g = result
-                scores = bilinear_scores(f, g, tau)
-                rows = f.rows
-                ctx_rows = g.rows
-                fits = f.fits
+                scores = bilinear_scores(f, g, v.tau)
+                rows, ctx_rows, fits = f.rows, g.rows, f.fits
             else:
-                scores = cosine_scores(result, tau)
-                rows = result.rows
-                ctx_rows = None
-                fits = result.fits
-            metrics["loss"] = expected_simclr_loss(scores, process, batch)
+                scores = cosine_scores(result, v.tau)
+                rows, fits = result.rows, result.fits
+            metrics["loss"] = expected_simclr_loss(scores, process, v.batch)
             try:
-                metrics["tv_gap"] = infonce_tv_gap(scores, process, batch)
+                metrics["tv_gap"] = infonce_tv_gap(scores, process, v.batch)
             except EnumerationBudgetError:
                 pass
-            flags = {
-                "algo": algo,
-                "process": args.process,
-                "dim": dim,
-                "tau": tau,
-                "batch": batch,
-                "mode": mode,
-                "output": args.output,
-            }
         else:
-            phi = train_spectral(process, dim, config=opt)
-            rows = phi.rows
-            ctx_rows = None
-            fits = phi.fits
+            phi = train_spectral(process, v.dim, config=v.optimizer)
+            rows, fits = phi.rows, phi.fits
             metrics["loss"] = spectral_loss(phi, process)
-            root = np.sqrt(process.marginal)
-            f = root[:, None] * rows
-            target = low_rank_factor(process.abar, dim)
-            metrics["factor_gap"] = float(
-                np.linalg.norm(target @ target.T - f @ f.T)
-            )
-            flags = {
-                "algo": algo,
-                "process": args.process,
-                "dim": dim,
-                "output": args.output,
-            }
-        ensure_parent(args.output)
-        save_matrix_csv(args.output, rows, comments=[f"items: {items}"])
-        if ctx_rows is not None:
-            ctx = args.context_output or _context_path(args.output)
-            save_matrix_csv(ctx, ctx_rows, comments=[f"items: {items}"])
-            flags["context_output"] = ctx
+            f = np.sqrt(process.marginal)[:, None] * rows
+            target = low_rank_factor(process.abar, v.dim)
+            metrics["factor_gap"] = float(np.linalg.norm(target @ target.T - f @ f.T))
 
-    manifest = make_manifest(
-        "contrast", flags, inputs, seed, metrics, started, __version__,
-        optimizer=_optimizer_block(fits),
-    )
-    _emit(args.output, manifest)
-    _warn_max_iter(fits)
-    loss = metrics["loss"]
-    print(f"wrote {args.output}; final loss {loss:.6g}")
-    return 0
+    comment = "items: " + " ".join(str(i) for i in items)
+    tables = {v.output: (rows, comment)}
+    if ctx_rows is not None:
+        tables[v.context_output] = (ctx_rows, comment)
+    return _Outcome(f"wrote {v.output}; final loss {metrics['loss']:.6g}", metrics, fits, tables)
 
 
-def _cmd_eigenfun(args, config) -> int:
-    started = time.time()
-    seed = _resolve_seed(args, config, "eigenfun")
-    dim = _resolve(args, config, "eigenfun", "dim", int, 2)
-    table = load_sym_csv(args.kernel)
-    weights = load_matrix_csv(args.p).ravel()
-    opt = _optimizer_config(config, seed)
-    result = train_eigenfunctions(table, weights, dim, config=opt)
-
+def _eigenfun(v) -> _Outcome:
+    table = load_sym_csv(v.kernel)
+    weights = load_matrix_csv(v.p).ravel()
+    result = train_eigenfunctions(table, weights, v.dim, config=v.optimizer)
     eigenvalues, functions = mercer_decompose(table, weights)
-    cosines = []
-    for j in range(dim):
-        cosines.append(
-            abs(float((result.values[:, j] * weights) @ functions[:, j]))
-        )
+    cosines = [
+        abs(float((result.values[:, j] * weights) @ functions[:, j])) for j in range(v.dim)
+    ]
+    deviation = float(np.abs(result.estimates - eigenvalues[:v.dim]).max())
     comparison = {
-        "estimates": [float(v) for v in result.estimates],
-        "oracle_eigenvalues": [float(v) for v in eigenvalues[:dim]],
-        "max_estimate_deviation": float(
-            np.abs(result.estimates - eigenvalues[:dim]).max()
-        ),
+        "estimates": [float(x) for x in result.estimates],
+        "oracle_eigenvalues": [float(x) for x in eigenvalues[:v.dim]],
+        "max_estimate_deviation": deviation,
         "weighted_cosines": cosines,
-        "relative_gaps": [float(v) for v in result.gaps],
+        "relative_gaps": [float(x) for x in result.gaps],
     }
-    ensure_parent(args.output)
-    save_matrix_csv(
-        args.output, result.values, comments=[f"eigenfunctions, one column each, d={dim}"]
+    return _Outcome(
+        f"wrote {v.output}; max eigenvalue deviation {deviation:.3e}",
+        {"max_estimate_deviation": deviation, "min_weighted_cosine": min(cosines)},
+        result.fits,
+        tables={v.output: (result.values, f"eigenfunctions, one column each, d={v.dim}")},
+        json={v.report: comparison},
     )
-    if args.report:
-        ensure_parent(args.report)
-        with open(args.report, "w") as fh:
-            json.dump(comparison, fh, sort_keys=True, indent=2)
-            fh.write("\n")
-    metrics = {
-        "max_estimate_deviation": comparison["max_estimate_deviation"],
-        "min_weighted_cosine": min(cosines),
-    }
-    flags = {
-        "kernel": args.kernel,
-        "p": args.p,
-        "dim": dim,
-        "output": args.output,
-        "report": args.report,
-    }
-    manifest = make_manifest(
-        "eigenfun", flags, [args.kernel, args.p], seed, metrics, started, __version__,
-        optimizer=_optimizer_block(result.fits),
-    )
-    _emit(args.output, manifest)
-    _warn_max_iter(result.fits)
-    print(
-        f"wrote {args.output}; max eigenvalue deviation "
-        f"{comparison['max_estimate_deviation']:.3e}"
-    )
-    return 0
 
 
-def _cmd_analyze(args, config) -> int:
-    started = time.time()
-    seed = _resolve_seed(args, config, "analyze")
-    process = load_process(args.process)
-    if (args.subset is None) == (args.parts is None):
-        raise UsageError("analyze conductance needs exactly one of --subset or --parts")
-    if args.subset is not None:
-        try:
-            subset = [int(s) for s in args.subset.split(",") if s.strip() != ""]
-        except ValueError:
-            raise UsageError(f"--subset {args.subset!r} is not a comma-separated index list") from None
+def _analyze(v) -> _Outcome:
+    process = load_process(v.process)
+    if v.subset is not None:
+        subset = _index_list("--subset", v.subset)
         value = dirichlet_conductance(process, subset)
         payload = {"quantity": "conductance", "subset": subset, "value": value}
     else:
-        value = sparsest_partition(process, args.parts)
-        payload = {"quantity": "sparsest_partition", "parts": args.parts, "value": value}
-    text = json.dumps(payload, sort_keys=True, indent=2)
-    if args.output:
-        ensure_parent(args.output)
-        with open(args.output, "w") as fh:
-            fh.write(text + "\n")
-        flags = {
-            "quantity": args.quantity,
-            "process": args.process,
-            "subset": args.subset,
-            "parts": args.parts,
-            "output": args.output,
-        }
-        manifest = make_manifest(
-            "analyze", flags, [args.process], seed, {"value": value}, started, __version__
-        )
-        _emit(args.output, manifest)
-    print(text)
-    return 0
+        value = sparsest_partition(process, v.parts)
+        payload = {"quantity": "sparsest_partition", "parts": v.parts, "value": value}
+    return _Outcome(_json(payload), {"value": value}, json={v.output: payload})
 
 
-def _cmd_verify(args, config) -> int:
-    started = time.time()
-    seed = _resolve_seed(args, config, "verify")
-    report = run_suite(args.suite, seed)
-    for check in report["checks"]:
-        status = "ok " if check["passed"] else "FAIL"
-        print(
-            f"[{status}] {check['name']}: observed {check['observed']:.3e}"
-            f" <= {check['tolerance']:.3e}"
-        )
+def _verify(v) -> _Outcome:
+    report = run_suite(v.suite, v.seed)
+    lines = [
+        f"[{'ok ' if c['passed'] else 'FAIL'}] {c['name']}: observed {c['observed']:.3e}"
+        f" <= {c['tolerance']:.3e}"
+        for c in report["checks"]
+    ]
     overall = "passed" if report["passed"] else "FAILED"
-    print(f"suite {report['suite']} {overall} (seed {seed})")
-    if args.output:
-        ensure_parent(args.output)
-        with open(args.output, "w") as fh:
-            fh.write(report_json(report))
-        manifest = make_manifest(
-            "verify",
-            {"suite": args.suite, "output": args.output},
-            [],
-            seed,
-            {c["name"]: c["observed"] for c in report["checks"]},
-            started,
-            __version__,
-        )
-        _emit(args.output, manifest)
-    return 0 if report["passed"] else 1
+    lines.append(f"suite {report['suite']} {overall} (seed {v.seed})")
+    return _Outcome(
+        "\n".join(lines),
+        {c["name"]: c["observed"] for c in report["checks"]},
+        json={v.output: report},
+        code=0 if report["passed"] else 1,
+    )
 
 
-def _cmd_report(args, config) -> int:
-    started = time.time()
-    seed = _resolve_seed(args, config, "report")
-    os.makedirs(args.outdir, exist_ok=True)
+def _report(v) -> _Outcome:
+    os.makedirs(v.outdir, exist_ok=True)
     rows = []
-    for path in args.manifests:
+    for path in v.manifests:
         data = load_manifest(path)
         for name in sorted(data.get("metrics", {})):
             rows.append(
                 (path, data.get("subcommand", "?"), data.get("seed", 0), name,
                  data["metrics"][name])
             )
-    summary = os.path.join(args.outdir, "summary.csv")
+    summary = os.path.join(v.outdir, "summary.csv")
     with open(summary, "w") as fh:
         fh.write("# manifest,subcommand,seed,metric,value\n")
         for path, cmd, mseed, name, value in sorted(rows):
@@ -700,58 +576,115 @@ def _cmd_report(args, config) -> int:
     for k in (0.5, 1.0, 2.0, 4.0):
         series.append((f"k={k:g}", z, sigmoid(z - np.log(k))))
     line_chart(
-        os.path.join(args.outdir, "sigmoid_family.svg"),
+        os.path.join(v.outdir, "sigmoid_family.svg"),
         series,
         "shifted sigmoids over scores",
     )
 
-    data, latent = swiss_roll(200, noise=0.0, seed=seed)
+    data, latent = swiss_roll(200, noise=0.0, seed=v.seed)
     emb = isomap(data, 2, knn=8)
     scatter_panels(
-        os.path.join(args.outdir, "swissroll_isomap.svg"),
+        os.path.join(v.outdir, "swissroll_isomap.svg"),
         [
             ("swiss roll, face-on", data[:, [0, 2]], latent[:, 0]),
             ("isomap embedding", emb, latent[:, 0]),
         ],
     )
-    manifest = make_manifest(
-        "report",
-        {"manifests": list(args.manifests), "outdir": args.outdir},
-        list(args.manifests),
-        seed,
-        {"rows": len(rows)},
-        started,
-        __version__,
-    )
-    write_manifest(os.path.join(args.outdir, "report.manifest.json"), manifest)
-    print(f"wrote {summary} and 2 plots to {args.outdir}")
-    return 0
+    return _Outcome(f"wrote {summary} and 2 plots to {v.outdir}", {"rows": len(rows)})
 
 
-_DISPATCH = {
-    "gen": _cmd_gen,
-    "reduce": _cmd_reduce,
-    "kernel-approx": _cmd_kernel_approx,
-    "contrast": _cmd_contrast,
-    "eigenfun": _cmd_eigenfun,
-    "analyze": _cmd_analyze,
-    "verify": _cmd_verify,
-    "report": _cmd_report,
+# ---------------------------------------------------------------------------
+# the option tables
+
+_SEED = _Opt("--seed", int, 0)
+_COLUMNS_HELP = "comma-separated input column indices (default: all)"
+
+_COMMANDS = {
+    "gen": _Command("generate a dataset", _gen, (
+        _Opt("shape", choices=["swiss-roll"]),
+        _Opt("--n", int, 400),
+        _Opt("--noise", float, 0.0),
+        _SEED,
+        _Opt("--output", required=True),
+    )),
+    "reduce": _Command("dimensionality reduction", _reduce, (
+        _Opt("--method", fixed=True, choices=["pca", "mds", "isomap", "lle", "le"]),
+        _Opt("--dim", int, 2),
+        _Opt("--input", group="source", hashed=True),
+        _Opt("--columns", reads=lambda v: v["input"] is not None,
+             help=_COLUMNS_HELP + ", e.g. 0,1,2 to drop the latent columns of a "
+             "generated dataset"),
+        _Opt("--distances", reads=("mds",), group="source", hashed=True,
+             help="symmetric distance CSV (mds)"),
+        _Opt("--eps", float, reads=("isomap", "le"), group="graph"),
+        _Opt("--knn", int, reads=("isomap", "lle", "le"), group="graph"),
+        _Opt("--t", float, 1.0, reads=("le",), help="gaussian edge-weight bandwidth (le)"),
+        _SEED,
+        _Opt("--output", required=True),
+    )),
+    "kernel-approx": _Command("low-rank / random kernel features", _kernel_approx, (
+        _Opt("--method", fixed=True, choices=["nystrom", "rff"]),
+        _Opt("--input", required=True, hashed=True),
+        _Opt("--columns", help=_COLUMNS_HELP),
+        _Opt("--kernel", default="gaussian", choices=["gaussian", "linear", "polynomial"]),
+        _Opt("--sigma2", float, 1.0, reads=lambda v: v["kernel"] == "gaussian"),
+        _Opt("--degree", int, 2, reads=lambda v: v["kernel"] == "polynomial"),
+        _Opt("--landmarks", int, reads=("nystrom",), required=True),
+        _Opt("--rank", int, reads=("nystrom",), required=True),
+        _Opt("--features", int, reads=("rff",), required=True),
+        _SEED,
+        _Opt("--output", required=True),
+        _Opt("--report", help="JSON kernel-error report path"),
+    )),
+    "contrast": _Command("contrastive training", _contrast, (
+        _Opt("algo", choices=["sgns", "infonce", "spectral"]),
+        _Opt("--corpus", reads=("sgns",), required=True, hashed=True),
+        _Opt("--window", int, 1, reads=("sgns",)),
+        _Opt("--k", float, 1.0, reads=("sgns",)),
+        _Opt("--neg-exponent", float, 1.0, reads=("sgns",)),
+        _Opt("--activation", default="sigmoid", choices=["sigmoid", "k_sigmoid"],
+             reads=("sgns",)),
+        _Opt("--process", reads=("infonce", "spectral"), required=True, hashed=True),
+        _Opt("--dim", int, 2),
+        _Opt("--tau", float, 1.0, reads=("infonce",)),
+        _Opt("--batch", int, 2, reads=("infonce",)),
+        _Opt("--mode", default="untied", choices=["untied", "tied"], reads=("infonce",)),
+        _SEED,
+        _Opt("--output", required=True),
+        _Opt("--context-output", default=lambda v: _context_path(v["output"]),
+             reads=lambda v: v["algo"] == "sgns" or v["mode"] == "untied"),
+    ), trains=True),
+    "eigenfun": _Command("kernel eigenfunction recovery", _eigenfun, (
+        _Opt("--kernel", required=True, hashed=True, help="symmetric kernel table CSV"),
+        _Opt("--p", required=True, hashed=True, help="distribution CSV (one row or column)"),
+        _Opt("--dim", int, 2),
+        _SEED,
+        _Opt("--output", required=True),
+        _Opt("--report", help="JSON oracle-comparison path"),
+    ), trains=True),
+    "analyze": _Command("process graph quantities", _analyze, (
+        _Opt("quantity", choices=["conductance"]),
+        _Opt("--process", required=True, hashed=True),
+        _Opt("--subset", group="selector", help="comma-separated item indices"),
+        _Opt("--parts", int, group="selector", help="partition count for the sparsest cut"),
+        _Opt("--output"),
+    )),
+    "verify": _Command("run a named oracle suite", _verify, (
+        _Opt("suite"),
+        _SEED,
+        _Opt("--output", help="write the JSON report here"),
+    )),
+    "report": _Command("summarize manifests, emit plots", _report, (
+        _Opt("--manifests", fixed=True, nargs="+", hashed=True),
+        _Opt("--outdir", required=True),
+        _SEED,
+    ), sidecar=lambda v: os.path.join(v["outdir"], "report.manifest.json")),
 }
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    try:
-        config = _load_config(args.config)
-        return _DISPATCH[args.command](args, config)
-    except (UsageError, UnknownSuiteError) as exc:
-        print(f"kc: usage error: {exc}", file=sys.stderr)
-        return 2
-    except (ParseError, ValueError, OSError, RuntimeError) as exc:
-        print(f"kc: error: {exc}", file=sys.stderr)
-        return 1
+    args = build_parser().parse_args(argv)
+    return _run(args.command, args)
 
 
 if __name__ == "__main__":

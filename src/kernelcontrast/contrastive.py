@@ -41,8 +41,6 @@ __all__ = [
     "CorpusStats",
     "corpus_stats",
     "shifted_pmi_matrix",
-    "margin_pair_loss",
-    "triplet_loss",
     "nce_loss",
     "nce_loss_grad",
     "train_nce",
@@ -167,26 +165,6 @@ def shifted_pmi_matrix(stats: CorpusStats, k: float) -> np.ndarray:
     return out
 
 
-def margin_pair_loss(dist: float, y: int, margin: float) -> float:
-    """y d^2 + (1-y) max(0, margin - d)^2 for one pair at distance d."""
-    if margin < 0.0:
-        raise ValueError(f"margin must be nonnegative, got {margin!r}")
-    if y not in (0, 1):
-        raise ValueError(f"label must be 0 or 1, got {y!r}")
-    d = float(dist)
-    return y * d * d + (1 - y) * max(0.0, margin - d) ** 2
-
-
-def triplet_loss(anchor, positive, negative, alpha: float) -> float:
-    """Hinge on squared distances: max(|a-p|^2 - |a-n|^2 + alpha, 0)."""
-    if alpha < 0.0:
-        raise ValueError(f"alpha must be nonnegative, got {alpha!r}")
-    a = np.asarray(anchor, dtype=float)
-    gap_pos = a - np.asarray(positive, dtype=float)
-    gap_neg = a - np.asarray(negative, dtype=float)
-    return float(max(np.dot(gap_pos, gap_pos) - np.dot(gap_neg, gap_neg) + alpha, 0.0))
-
-
 def nce_loss(scores, labels, k: float) -> float:
     """Mean binary cross-entropy through the k-shifted sigmoid.
 
@@ -232,6 +210,8 @@ def train_nce(
     list, so the closed-form optimum applies: with ``activation`` set to
     "k_sigmoid" the trained score converges to log(p1/p0); with "sigmoid"
     it converges to log(p1/p0) - log k.
+
+    Returns the `minimize` result; its ``x`` is the score vector.
     """
     pos = np.asarray(pos_counts, dtype=float)
     neg = np.asarray(neg_counts, dtype=float)
@@ -257,7 +237,7 @@ def train_nce(
 
     cfg = config or OptimizerConfig(tol=1e-9)
     theta0 = Stream(cfg.seed).uniform(pos.shape[0], -0.1, 0.1)
-    return minimize(objective, theta0, cfg).x
+    return minimize(objective, theta0, cfg)
 
 
 def sgns_expected_loss(

@@ -23,7 +23,6 @@ from .rng import Stream
 
 __all__ = [
     "EigenfunctionSet",
-    "r_entry",
     "neuralef_batch_loss",
     "train_eigenfunctions",
     "mlp_eigenfunctions",
@@ -51,21 +50,6 @@ class EigenfunctionSet:
     @property
     def d(self) -> int:
         return self.values.shape[1]
-
-
-def r_entry(psi_i, psi_j, kernel_table, p) -> float:
-    """Quadratic form sum_{x,z} psi_i(x) p(x) K(x,z) p(z) psi_j(z).
-
-    The finite-space version of the kernel operator's matrix element
-    between two tabulated functions; symmetric in (i, j) for symmetric K.
-    """
-    k = as_sym_array(kernel_table)
-    fi = np.asarray(psi_i, dtype=float)
-    fj = np.asarray(psi_j, dtype=float)
-    w = np.asarray(p, dtype=float)
-    if fi.shape != (k.shape[0],) or fj.shape != (k.shape[0],) or w.shape != fi.shape:
-        raise ValueError("function tables and weights must match the kernel size")
-    return float((fi * w) @ k @ (fj * w))
 
 
 def _batch_normalized(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -19,15 +19,10 @@ from .rng import Stream
 __all__ = [
     "sigmoid",
     "k_sigmoid",
-    "log_sigmoid",
-    "log_one_minus_sigmoid",
     "softplus",
     "softmax",
-    "cross_entropy",
-    "guarded_log",
     "EmbeddingTable",
     "MlpEncoder",
-    "forward",
     "grad_check",
     "OptimizerConfig",
     "OptimizeResult",
@@ -71,16 +66,6 @@ def k_sigmoid(z, k: float):
     return sigmoid(np.asarray(z, dtype=float) - np.log(k))
 
 
-def log_sigmoid(z):
-    """log sigmoid(z) = -log(1 + e^(-z)), safe for z very negative."""
-    return -np.logaddexp(0.0, -np.asarray(z, dtype=float))
-
-
-def log_one_minus_sigmoid(z):
-    """log(1 - sigmoid(z)) = -log(1 + e^z), safe for z very positive."""
-    return -np.logaddexp(0.0, np.asarray(z, dtype=float))
-
-
 def softplus(z):
     """log(1 + e^z) without overflow; equals -log sigmoid(-z)."""
     return np.logaddexp(0.0, np.asarray(z, dtype=float))
@@ -96,36 +81,6 @@ def softmax(z):
     shifted = z - z.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=-1, keepdims=True)
-
-
-def guarded_log(x):
-    """Logarithm that refuses exact zeros and floors denormals.
-
-    An exact zero reaching a loss means the model assigns zero probability
-    to an observed event; that is an input error, not a numeric edge case,
-    so it raises instead of returning -inf.
-    """
-    arr = np.asarray(x, dtype=float)
-    if np.any(arr == 0.0):
-        raise ValueError("log of exact zero: an observed event has probability 0")
-    if np.any(arr < 0.0):
-        raise ValueError("log of negative value")
-    out = np.log(np.maximum(arr, 1e-300))
-    return out if out.ndim else float(out)
-
-
-def cross_entropy(true_class: int, probs) -> float:
-    """-log probs[true_class] for a validated probability vector."""
-    p = np.asarray(probs, dtype=float)
-    if p.ndim != 1:
-        raise ValueError(f"probs must be a vector, got shape {p.shape}")
-    if np.any(p < 0.0):
-        raise ValueError("probabilities must be nonnegative")
-    if abs(p.sum() - 1.0) > 1e-9:
-        raise ValueError(f"probabilities sum to {p.sum()!r}, not 1")
-    if not 0 <= true_class < p.shape[0]:
-        raise IndexError(f"class {true_class} out of range for {p.shape[0]} classes")
-    return float(-guarded_log(p[true_class]))
 
 
 @dataclass(frozen=True)
@@ -251,23 +206,6 @@ class MlpEncoder:
             parts.append(gw.reshape(-1))
             parts.append(gb)
         return np.concatenate(parts)
-
-
-def forward(encoder, x) -> np.ndarray:
-    """Evaluate an encoder at one input.
-
-    An EmbeddingTable expects an integer item index; an MlpEncoder expects
-    a coordinate vector.
-    """
-    if isinstance(encoder, EmbeddingTable):
-        i = int(x)
-        if not 0 <= i < encoder.n_items:
-            raise IndexError(f"item index {i} out of range for {encoder.n_items} items")
-        return encoder.rows[i].copy()
-    if isinstance(encoder, MlpEncoder):
-        out, _ = encoder.forward_batch(np.asarray(x, dtype=float))
-        return out[0]
-    raise TypeError(f"cannot encode with {type(encoder).__name__}")
 
 
 def grad_check(fun, params: np.ndarray, epsilon: float = 1e-5) -> float:

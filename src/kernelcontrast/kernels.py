@@ -210,7 +210,9 @@ def jacobi_eigh(matrix, tol: float = 1e-12, max_sweeps: int = 60) -> EigenDecomp
             diag = a[plane, plane]
             skip = apq == 0.0
             # A zero pivot makes tau 0/0 or x/0; that plane keeps c = 1, s = 0.
-            with np.errstate(divide="ignore", invalid="ignore"):
+            # A subnormal pivot can overflow tau to inf, which gives t = 0:
+            # the rotation 1/(2 tau) is below the smallest float anyway.
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
                 tau = (diag[::-1][:k] - diag[:k]) / (2.0 * apq)
                 # hypot instead of sqrt(1 + tau^2): tau^2 overflows when the
                 # off-diagonal entry is many orders below the diagonal gap,

@@ -1,11 +1,14 @@
 """Provenance records for CLI runs.
 
 Every run that writes an output also writes a RunManifest JSON next to
-it: tool version, the subcommand and its resolved flags, a hash of the
-effective configuration, sha256 digests of the inputs, the seed, a
-metric map, and one record per optimizer run (stop reason, iterations,
-evaluations, final gradient norm; empty for commands that train
-nothing). Timestamps live in their own field so that everything else
+it: tool version, the subcommand and its flags, a hash of the flags,
+sha256 digests of the inputs, the seed, a metric map, and one record per
+optimizer run (stop reason, iterations, evaluations, final gradient norm;
+empty for commands that train nothing). The CLI passes as flags the
+resolved value of every option of the subcommand (null where the run's
+method does not read it) and, for training commands, the resolved
+optimizer settings under "optimizer", so the digest covers everything
+that decides the outputs and the flags alone replay the run. Timestamps live in their own field so that everything else
 in the file is reproducible byte for byte; diffing two manifests after
 dropping "timestamps" answers "same run?" directly.
 """

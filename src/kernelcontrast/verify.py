@@ -13,8 +13,6 @@ byte-identical; provenance lives in the RunManifest instead.
 
 from __future__ import annotations
 
-import json
-
 import numpy as np
 
 from .contrastive import (
@@ -58,7 +56,7 @@ from .manifold import (
 )
 from .rng import Stream
 
-__all__ = ["SUITE_NAMES", "UnknownSuiteError", "run_suite", "report_json"]
+__all__ = ["SUITE_NAMES", "UnknownSuiteError", "run_suite"]
 
 
 class UnknownSuiteError(ValueError):
@@ -115,11 +113,8 @@ def _suite_sgns_pmi(seed: int) -> dict:
 
 
 def _suite_classification(seed: int) -> dict:
-    """NCE's fitted score equals the log count ratio, shifted per activation.
-
-    This suite has no "runs that hit max_iter" check: `train_nce` returns
-    the bare score vector, not the optimizer result.
-    """
+    """NCE's fitted score equals the log count ratio, shifted per activation,
+    and both runs stop converged rather than at their budget."""
     pos = np.array([6.0, 2.0, 4.0])
     neg = np.array([4.0, 12.0, 8.0])  # k positives' worth of noise per item set
     k = 2.0
@@ -127,19 +122,20 @@ def _suite_classification(seed: int) -> dict:
     p0 = neg / neg.sum()
     log_ratio = np.log(p1 / p0)
     cfg = OptimizerConfig(seed=seed, tol=1e-12, max_iter=20000)
-    theta_k = train_nce(pos, neg, k, activation="k_sigmoid", config=cfg)
-    theta_s = train_nce(pos, neg, k, activation="sigmoid", config=cfg)
+    fit_k = train_nce(pos, neg, k, activation="k_sigmoid", config=cfg)
+    fit_s = train_nce(pos, neg, k, activation="sigmoid", config=cfg)
     checks = [
         _check(
             "k_sigmoid score vs log(p1/p0)",
-            np.abs(theta_k - log_ratio).max(),
+            np.abs(fit_k.x - log_ratio).max(),
             1e-3,
         ),
         _check(
             "sigmoid score vs log(p1/p0) - log k",
-            np.abs(theta_s - (log_ratio - np.log(k))).max(),
+            np.abs(fit_s.x - (log_ratio - np.log(k))).max(),
             1e-3,
         ),
+        _max_iter_check([fit_k, fit_s]),
     ]
     return _report("classification", seed, checks)
 
@@ -374,7 +370,3 @@ def run_suite(name: str, seed: int = 0) -> dict:
         known = ", ".join(SUITE_NAMES)
         raise UnknownSuiteError(f"unknown suite {name!r}; choose one of: {known}")
     return _SUITES[name](int(seed))
-
-
-def report_json(report: dict) -> str:
-    return json.dumps(report, sort_keys=True, indent=2) + "\n"

@@ -227,8 +227,8 @@ def test_criterion_04_binary_classifier_closed_form():
     target = np.log((pos / pos.sum()) / (neg / neg.sum()))
     with criterion(4, "binary nce scores hit the log count ratio") as info:
         t0 = time.monotonic()
-        theta_k = train_nce(pos, neg, k, activation="k_sigmoid")
-        theta_s = train_nce(pos, neg, k, activation="sigmoid")
+        theta_k = train_nce(pos, neg, k, activation="k_sigmoid").x
+        theta_s = train_nce(pos, neg, k, activation="sigmoid").x
         gap = max(
             float(np.abs(theta_k - target).max()),
             float(np.abs(theta_s - (target - np.log(k))).max()),

@@ -219,6 +219,18 @@ def test_missing_config_file_is_usage_error(tmp_path, capsys):
     assert code == 2
 
 
+def test_malformed_config_file_is_usage_error(tmp_path, capsys):
+    """A file without a section header, or a '%' in a value, is one usage
+    error line, not a traceback."""
+    cfg = tmp_path / "kc.ini"
+    for text in ("seed = 3\n", "[gen]\nn = 5%\n"):
+        cfg.write_text(text)
+        code = main(["--config", str(cfg), "gen", "swiss-roll",
+                     "--output", str(tmp_path / "g.csv")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("kc: usage error:")
+
+
 # ------------------------------------------------------- contrast commands
 
 
@@ -487,3 +499,222 @@ def test_report_summarizes_manifests_and_plots(tmp_path):
         svg = open(os.path.join(outdir, name)).read()
         assert svg.startswith("<svg")
         assert "<polyline" in svg or "<circle" in svg
+
+
+# ------------------------------------------------- resolved options, replay
+
+
+def _run_reduce(tmp_path, name, extra, config_text=None):
+    src = str(tmp_path / "pts.csv")
+    save_matrix_csv(src, np.random.default_rng(0).normal(size=(12, 3)))
+    out = str(tmp_path / name)
+    argv = ["reduce", "--input", src, "--output", out] + extra
+    if config_text is not None:
+        cfg = tmp_path / "kc.ini"
+        cfg.write_text(config_text)
+        argv = ["--config", str(cfg)] + argv
+    return main(argv), out
+
+
+@pytest.mark.parametrize("method", ["isomap", "lle", "le"])
+def test_reduce_knn_from_config_runs_and_is_recorded(tmp_path, method):
+    code, out = _run_reduce(tmp_path, "cfg.csv", ["--method", method],
+                            config_text="[reduce]\nknn = 4\n")
+    assert code == 0
+    assert load_manifest(out + ".manifest.json")["flags"]["knn"] == 4
+    code, flagged = _run_reduce(tmp_path, "flag.csv", ["--method", method, "--knn", "4"])
+    assert code == 0
+    assert open(out, "rb").read() == open(flagged, "rb").read()
+
+
+@pytest.mark.parametrize("method", ["isomap", "le"])
+def test_reduce_graph_methods_without_eps_or_knn_are_usage_errors(tmp_path, capsys, method):
+    code, _ = _run_reduce(tmp_path, "o.csv", ["--method", method])
+    assert code == 2
+    assert "usage error" in capsys.readouterr().err
+
+
+def test_reduce_le_records_its_default_bandwidth(tmp_path):
+    manifests = []
+    for extra in ([], ["--t", "1.0"]):
+        code, out = _run_reduce(tmp_path, "le.csv", ["--method", "le", "--knn", "4"] + extra)
+        assert code == 0
+        manifests.append(load_manifest(out + ".manifest.json"))
+    assert manifests[0]["flags"]["t"] == 1.0
+    assert manifests[0]["config_digest"] == manifests[1]["config_digest"]
+
+
+def test_kernel_approx_manifest_records_kernel_settings(tmp_path):
+    roll = str(tmp_path / "roll.csv")
+    assert main(["gen", "swiss-roll", "--n", "30", "--output", roll]) == 0
+    out, rep = str(tmp_path / "ny.csv"), str(tmp_path / "ny.json")
+    assert main(["kernel-approx", "--method", "nystrom", "--sigma2", "2.5", "--landmarks", "10",
+                 "--rank", "4", "--input", roll, "--columns", "0,1,2", "--output", out,
+                 "--report", rep]) == 0
+    flags = load_manifest(out + ".manifest.json")["flags"]
+    assert (flags["sigma2"], flags["degree"], flags["columns"], flags["report"]) == (
+        2.5, None, "0,1,2", rep)
+    assert main(["kernel-approx", "--method", "nystrom", "--kernel", "polynomial",
+                 "--degree", "3", "--landmarks", "10", "--rank", "4", "--input", roll,
+                 "--output", out]) == 0
+    flags = load_manifest(out + ".manifest.json")["flags"]
+    assert (flags["sigma2"], flags["degree"], flags["kernel"]) == (None, 3, "polynomial")
+
+
+def test_optimizer_settings_enter_the_manifest_and_digest(tmp_path):
+    proc = _write_process(tmp_path / "p.json", **TWO_STATE)
+    digests = []
+    for max_iter in (50, 60):
+        cfg = tmp_path / "kc.ini"
+        cfg.write_text(f"[optimizer]\nmax_iter = {max_iter}\n")
+        out = str(tmp_path / "s.csv")
+        assert main(["--config", str(cfg), "contrast", "spectral", "--process", proc,
+                     "--output", out]) == 0
+        manifest = load_manifest(out + ".manifest.json")
+        assert manifest["flags"]["optimizer"]["max_iter"] == max_iter
+        assert manifest["flags"]["optimizer"]["tol"] == 1e-10
+        digests.append(manifest["config_digest"])
+    assert digests[0] != digests[1]
+
+
+def test_unknown_config_keys_are_usage_errors(tmp_path, capsys):
+    corpus = tmp_path / "c.txt"
+    corpus.write_text("a b a b\n")
+    cfg = tmp_path / "kc.ini"
+    sgns = ["--config", str(cfg), "contrast", "sgns", "--corpus", str(corpus),
+            "--output", str(tmp_path / "o.csv")]
+    for text, key in (("[optimizer]\nmaxiter = 50\n", "maxiter"),
+                      ("[contrast]\nwindows = 2\n", "windows")):
+        cfg.write_text(text)
+        assert main(sgns) == 2
+        assert key in capsys.readouterr().err
+    # [kc] and other subcommands' sections are not checked, nor is
+    # [optimizer] for a command that trains nothing
+    cfg.write_text("[kc]\nwindow = 2\n\n[reduce]\nknn = 4\n\n[optimizer]\nmaxiter = 50\n")
+    assert main(["--config", str(cfg), "gen", "swiss-roll", "--n", "5",
+                 "--output", str(tmp_path / "g.csv")]) == 0
+
+
+def test_config_value_outside_the_choices_is_usage_error(tmp_path, capsys):
+    roll = str(tmp_path / "roll.csv")
+    assert main(["gen", "swiss-roll", "--n", "20", "--output", roll]) == 0
+    cfg = tmp_path / "kc.ini"
+    cfg.write_text("[kernel-approx]\nkernel = laplacian\n")
+    assert main(["--config", str(cfg), "kernel-approx", "--method", "nystrom", "--landmarks",
+                 "5", "--rank", "2", "--input", roll, "--output", str(tmp_path / "f.csv")]) == 2
+    assert "laplacian" in capsys.readouterr().err
+
+
+_POSITIONAL = ("shape", "algo", "quantity", "suite")
+
+
+def _replay_argv(manifest, tmp_path):
+    """The command line a manifest describes, plus its [optimizer] config."""
+    flags = dict(manifest["flags"])
+    settings = flags.pop("optimizer", None)
+    argv = [manifest["subcommand"]] + [flags.pop(k) for k in _POSITIONAL if k in flags]
+    for key, value in sorted(flags.items()):
+        if value is not None:
+            argv += ["--" + key.replace("_", "-")]
+            argv += [str(v) for v in value] if isinstance(value, list) else [str(value)]
+    if manifest["subcommand"] != "analyze":
+        argv += ["--seed", str(manifest["seed"])]
+    if settings is not None:
+        cfg = tmp_path / "replay.ini"
+        cfg.write_text("[optimizer]\n" + "".join(f"{k} = {v!r}\n" for k, v in settings.items()))
+        argv = ["--config", str(cfg)] + argv
+    return argv
+
+
+def _files(root):
+    return {os.path.join(d, n) for d, _, names in os.walk(root) for n in names}
+
+
+def _contents(paths):
+    out = {}
+    for path in paths:
+        if path.endswith(".manifest.json"):
+            manifest = load_manifest(path)
+            del manifest["timestamps"]
+            out[path] = manifest
+        else:
+            out[path] = open(path, "rb").read()
+    return out
+
+
+def test_every_run_replays_from_its_manifest(tmp_path):
+    """Each run, some configured by file, is rerun from the flags (and
+    [optimizer] settings) its manifest records, with its outputs moved
+    aside: the outputs come back byte for byte and the manifests, config
+    digest included, are equal minus their timestamps."""
+    ins = tmp_path / "in"
+    ins.mkdir()
+    corpus = ins / "c.txt"
+    corpus.write_text("a b a c b a b c c a b a\n")
+    proc = _write_process(
+        ins / "p.json", items=["a", "b", "c"], p=[0.5, 0.3, 0.2],
+        augment=[[0.8, 0.1, 0.1], [0.1, 0.8, 0.1], [0.1, 0.1, 0.8]],
+    )
+    kern, weights, dist = str(ins / "k.csv"), ins / "w.csv", str(ins / "d.csv")
+    save_sym_csv(kern, np.array([[2.0, 0.5, 0.2], [0.5, 1.5, 0.3], [0.2, 0.3, 1.0]]))
+    weights.write_text("0.25,0.5,0.25\n")
+    pts = np.random.default_rng(1).normal(size=(6, 2))
+    save_sym_csv(dist, np.sqrt(np.square(pts[:, None] - pts[None]).sum(axis=2)))
+    out = tmp_path / "out"
+    roll, o = str(out / "roll.csv"), lambda name: str(out / name)
+    red = ["reduce", "--input", roll, "--columns", "0,1,2"]
+    runs = [
+        ("[gen]\nn = 60\nnoise = 0.05\n", ["gen", "swiss-roll", "--seed", "2", "--output", roll]),
+        (None, red + ["--method", "pca", "--output", o("pca.csv")]),
+        (None, red + ["--method", "mds", "--dim", "3", "--output", o("mds.csv")]),
+        (None, ["reduce", "--method", "mds", "--distances", dist, "--output", o("mdsd.csv")]),
+        ("[reduce]\nknn = 8\n", red + ["--method", "isomap", "--output", o("iso.csv")]),
+        (None, red + ["--method", "lle", "--knn", "8", "--output", o("lle.csv")]),
+        ("[kc]\nknn = 8\n", red + ["--method", "le", "--output", o("le.csv")]),
+        (None, ["kernel-approx", "--method", "nystrom", "--sigma2", "2.5", "--landmarks", "20",
+                "--rank", "8", "--input", roll, "--seed", "1", "--output", o("ny.csv"),
+                "--report", o("rep/ny.json")]),
+        ("[kernel-approx]\nkernel = polynomial\ndegree = 3\n",
+         ["kernel-approx", "--method", "nystrom", "--landmarks", "20", "--rank", "4",
+          "--input", roll, "--columns", "0,1,2", "--output", o("nyp.csv")]),
+        (None, ["kernel-approx", "--method", "rff", "--sigma2", "0.5", "--features", "16",
+                "--input", roll, "--seed", "4", "--output", o("rff.csv"), "--report",
+                o("rff.json")]),
+        ("[contrast]\nwindow = 2\nk = 2\n\n[optimizer]\nmax_iter = 50\n",
+         ["contrast", "sgns", "--corpus", str(corpus), "--dim", "3", "--output", o("sg.csv"),
+          "--context-output", o("ctx/sg.csv")]),
+        (None, ["contrast", "infonce", "--process", proc, "--dim", "3", "--output",
+                o("inf.csv")]),
+        ("[contrast]\nmode = tied\ntau = 0.5\n",
+         ["contrast", "infonce", "--process", proc, "--dim", "3", "--output", o("inft.csv")]),
+        (None, ["contrast", "spectral", "--process", proc, "--dim", "2", "--output",
+                o("spec.csv")]),
+        ("[optimizer]\ntol = 1e-9\n",
+         ["eigenfun", "--kernel", kern, "--p", str(weights), "--output", o("ef.csv"),
+          "--report", o("ef.json")]),
+        (None, ["analyze", "conductance", "--process", proc, "--subset", "0,1", "--output",
+                o("an.json")]),
+        ("[analyze]\nparts = 2\n", ["analyze", "conductance", "--process", proc, "--output",
+                                    o("an2.json")]),
+        ("[kc]\nseed = 3\n", ["verify", "classification", "--output", o("v.json")]),
+        (None, ["report", "--manifests", roll + ".manifest.json", o("ny.csv.manifest.json"),
+                "--outdir", o("report")]),
+    ]
+    for config_text, argv in runs:
+        if config_text is not None:
+            cfg = ins / "run.ini"
+            cfg.write_text(config_text)
+            argv = ["--config", str(cfg)] + argv
+        before = _files(out)
+        assert main(argv) == 0, argv
+        written = sorted(_files(out) - before)
+        original = _contents(written)
+        (sidecar,) = [p for p in written if p.endswith(".manifest.json")]
+        replay = _replay_argv(original[sidecar], tmp_path)
+        aside = tmp_path / "aside"
+        aside.mkdir(exist_ok=True)
+        for i, path in enumerate(written):
+            os.replace(path, aside / str(i))
+        assert main(replay) == 0, replay
+        assert sorted(_files(out) - before) == written, replay
+        assert _contents(written) == original, replay

@@ -16,7 +16,6 @@ from kernelcontrast.contrastive import (
     infonce_loss,
     infonce_tv_gap,
     linear_probe_error,
-    margin_pair_loss,
     nce_loss,
     nce_loss_grad,
     pair_process,
@@ -32,7 +31,6 @@ from kernelcontrast.contrastive import (
     train_nce,
     train_sgns,
     train_spectral,
-    triplet_loss,
 )
 from kernelcontrast.encoders import EmbeddingTable, OptimizerConfig, grad_check
 from kernelcontrast.kernels import FiniteSpace, is_psd
@@ -114,27 +112,6 @@ def test_shifted_pmi_validation():
         shifted_pmi_matrix(stats, k=0.0)
 
 
-# ----------------------------------------------------------- pairwise losses
-
-
-def test_margin_pair_loss_values():
-    assert margin_pair_loss(2.0, 1, 1.0) == 4.0
-    assert margin_pair_loss(0.25, 0, 1.0) == 0.5625
-    assert margin_pair_loss(3.0, 0, 1.0) == 0.0
-    with pytest.raises(ValueError):
-        margin_pair_loss(1.0, 2, 1.0)
-    with pytest.raises(ValueError):
-        margin_pair_loss(1.0, 1, -0.5)
-
-
-def test_triplet_loss_values():
-    a, p, n = np.zeros(2), np.array([1.0, 0.0]), np.array([0.0, 2.0])
-    assert triplet_loss(a, p, n, alpha=0.5) == 0.0  # 1 - 4 + 0.5 < 0
-    assert triplet_loss(a, p, n, alpha=3.5) == 0.5
-    with pytest.raises(ValueError):
-        triplet_loss(a, p, n, alpha=-1.0)
-
-
 # ------------------------------------------------------------------- NCE
 
 
@@ -174,9 +151,9 @@ def test_train_nce_recovers_log_count_ratio():
     pos = np.array([6.0, 2.0, 4.0])
     neg = np.array([4.0, 12.0, 8.0])
     ratio = np.log(pos / neg)
-    theta = train_nce(pos, neg, k=2.0, activation="k_sigmoid")
+    theta = train_nce(pos, neg, k=2.0, activation="k_sigmoid").x
     np.testing.assert_allclose(theta, ratio + np.log(2.0), atol=1e-6)
-    theta = train_nce(pos, neg, k=2.0, activation="sigmoid")
+    theta = train_nce(pos, neg, k=2.0, activation="sigmoid").x
     np.testing.assert_allclose(theta, ratio, atol=1e-6)
 
 

@@ -4,7 +4,6 @@ import pytest
 from kernelcontrast.eigenfunctions import (
     mlp_eigenfunctions,
     neuralef_batch_loss,
-    r_entry,
     train_eigenfunctions,
 )
 from kernelcontrast.encoders import OptimizerConfig, grad_check
@@ -18,45 +17,16 @@ def _line_kernel(n=8, seed=0, sigma2=1.0):
     return gram(gaussian_kernel(sigma2), pts).values, pts
 
 
-# ----------------------------------------------------------------- r_entry
+# ------------------------------------------------------ the Mercer oracle
 
 
-def test_r_entry_hand_value():
-    k = np.array([[2.0, 1.0], [1.0, 2.0]])
-    p = np.array([0.5, 0.5])
-    f = np.array([1.0, -1.0])
-    # (f p) K (f p) = 0.25 * (2 - 1 - 1 + 2) = 0.5
-    assert r_entry(f, f, k, p) == pytest.approx(0.5)
-    g = np.array([1.0, 1.0])
-    # cross term: 0.25 * (2 + 1 - 1 - 2) = 0
-    assert r_entry(f, g, k, p) == pytest.approx(0.0)
-
-
-def test_r_entry_symmetry_and_linearity():
-    k, _ = _line_kernel(5)
-    p = np.full(5, 0.2)
-    f = Stream(1).normal(5)
-    g = Stream(2).normal(5)
-    assert r_entry(f, g, k, p) == pytest.approx(r_entry(g, f, k, p))
-    assert r_entry(2.0 * f, g, k, p) == pytest.approx(2.0 * r_entry(f, g, k, p))
-
-
-def test_r_entry_on_true_eigenfunctions_is_diagonal():
-    """Mercer functions diagonalize the quadratic form: R_ij = lambda_i delta_ij."""
+def test_mercer_functions_diagonalize_the_weighted_kernel():
+    """R_ij = sum_xz psi_i(x) p(x) K(x,z) p(z) psi_j(z) = lambda_i delta_ij."""
     k, _ = _line_kernel(6)
     p = np.full(6, 1.0 / 6.0)
     lam, psi = mercer_decompose(k, p)
-    for i in range(3):
-        for j in range(3):
-            want = lam[i] if i == j else 0.0
-            assert r_entry(psi[:, i], psi[:, j], k, p) == pytest.approx(
-                want, abs=1e-10
-            )
-
-
-def test_r_entry_validation():
-    with pytest.raises(ValueError):
-        r_entry(np.ones(3), np.ones(2), np.eye(2), np.full(2, 0.5))
+    weighted = p[:, None] * psi[:, :3]
+    np.testing.assert_allclose(weighted.T @ k @ weighted, np.diag(lam[:3]), rtol=0, atol=1e-10)
 
 
 # ------------------------------------------------------- streaming batch loss

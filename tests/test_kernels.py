@@ -207,6 +207,20 @@ def test_eigh_matches_jacobi(a):
         np.testing.assert_allclose(p_fast, p_slow, rtol=0, atol=1e-8)
 
 
+def test_jacobi_subnormal_pivot_overflows_quietly():
+    """A subnormal off-diagonal entry overflows tau = gap / (2 a_pq) to inf;
+    the rotation it stands for is below the smallest float, so the plane
+    stays put without a RuntimeWarning."""
+    tiny = 1.11253693e-308
+    for a in (
+        np.array([[0.0, tiny], [tiny, 2.0]]),
+        np.array([[0.0, 0.0, 0.5], [0.0, 0.0, tiny], [0.5, tiny, 1.0]]),
+    ):
+        np.testing.assert_allclose(
+            jacobi_eigh(a).eigenvalues, eigh(a).eigenvalues, rtol=0, atol=1e-12
+        )
+
+
 def test_jacobi_eigenvectors_accurate_to_rounding_over_gap():
     """Gaussian tables on 16 sorted points (the nystrom suite's) have
     eigenvalue gaps down to 1e-5 |A|. Both solvers' eigenvectors must sit
