@@ -619,7 +619,6 @@ _COMMANDS = {
         _Opt("--eps", float, reads=("isomap", "le"), group="graph"),
         _Opt("--knn", int, reads=("isomap", "lle", "le"), group="graph"),
         _Opt("--t", float, 1.0, reads=("le",), help="gaussian edge-weight bandwidth (le)"),
-        _SEED,
         _Opt("--output", required=True),
     )),
     "kernel-approx": _Command("low-rank / random kernel features", _kernel_approx, (

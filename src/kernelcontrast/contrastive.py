@@ -256,8 +256,7 @@ def sgns_expected_loss(
     deterministic function of the tables. At zero tables the value is
     N (1 + k) log 2.
     """
-    loss, _, _ = _sgns_loss_parts(phi.rows, psi.rows, stats, k, activation, neg_exponent)
-    return loss
+    return sgns_loss_grad(phi.rows, psi.rows, stats, k, activation, neg_exponent)[0]
 
 
 def sgns_loss_grad(
@@ -269,23 +268,6 @@ def sgns_loss_grad(
     neg_exponent: float = 1.0,
 ):
     """Loss plus gradients in both tables, for the optimizer."""
-    return _sgns_loss_parts(phi_rows, psi_rows, stats, k, activation, neg_exponent)
-
-
-def _negative_distribution(stats: CorpusStats, neg_exponent: float) -> np.ndarray:
-    q = stats.pair_marginal
-    if np.any(q == 0.0):
-        raise ValueError(
-            "negative-sampling distribution has a zero probability; "
-            "every vocabulary item must occur in at least one pair"
-        )
-    if neg_exponent != 1.0:
-        q = q**neg_exponent
-        q = q / q.sum()
-    return q
-
-
-def _sgns_loss_parts(phi_rows, psi_rows, stats, k, activation, neg_exponent):
     if not k > 0.0:
         raise ValueError(f"k must be positive, got {k!r}")
     n = stats.space.n
@@ -304,6 +286,19 @@ def _sgns_loss_parts(phi_rows, psi_rows, stats, k, activation, neg_exponent):
     loss = float((w_pos * softplus(-z) + w_neg * softplus(z)).sum())
     dz = (w_pos + w_neg) * sigmoid(z) - w_pos
     return loss, dz @ psi_rows, dz.T @ phi_rows
+
+
+def _negative_distribution(stats: CorpusStats, neg_exponent: float) -> np.ndarray:
+    q = stats.pair_marginal
+    if np.any(q == 0.0):
+        raise ValueError(
+            "negative-sampling distribution has a zero probability; "
+            "every vocabulary item must occur in at least one pair"
+        )
+    if neg_exponent != 1.0:
+        q = q**neg_exponent
+        q = q / q.sum()
+    return q
 
 
 def train_sgns(
@@ -331,9 +326,7 @@ def train_sgns(
     def objective(flat):
         phi_rows = flat[:split].reshape(n, d)
         psi_rows = flat[split:].reshape(n, d)
-        loss, dphi, dpsi = _sgns_loss_parts(
-            phi_rows, psi_rows, stats, k, activation, neg_exponent
-        )
+        loss, dphi, dpsi = sgns_loss_grad(phi_rows, psi_rows, stats, k, activation, neg_exponent)
         return loss, np.concatenate((dphi.reshape(-1), dpsi.reshape(-1)))
 
     fit = minimize(objective, np.concatenate((phi0.flat(), psi0.flat())), cfg)

@@ -112,14 +112,6 @@ class EmbeddingTable:
         if not np.isfinite(self.rows).all():
             raise ValueError("embedding rows contain non-finite values")
 
-    @property
-    def n_items(self) -> int:
-        return self.rows.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.rows.shape[1]
-
     @classmethod
     def random(cls, n_items: int, dim: int, seed: int) -> "EmbeddingTable":
         stream = Stream(seed)
@@ -128,9 +120,6 @@ class EmbeddingTable:
 
     def flat(self) -> np.ndarray:
         return self.rows.reshape(-1).copy()
-
-    def with_flat(self, params: np.ndarray) -> "EmbeddingTable":
-        return EmbeddingTable(np.asarray(params, float).reshape(self.rows.shape))
 
 
 class MlpEncoder:

@@ -264,12 +264,6 @@ class FiniteSpace:
     def n(self) -> int:
         return len(self.items)
 
-    def index(self, item) -> int:
-        try:
-            return self.items.index(item)
-        except ValueError:
-            raise KeyError(f"unknown item {item!r}") from None
-
 
 @dataclass
 class KernelSpec:

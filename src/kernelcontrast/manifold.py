@@ -2,8 +2,9 @@
 
 ISOMAP, locally linear embedding, and Laplacian eigenmaps all start from
 the same object: a symmetric weighted neighbor graph built by an epsilon
-ball or a k-nearest-neighbor rule. Graph geodesics use Dijkstra from every
-source; the eigenproblems reuse the package's Jacobi solver.
+ball or a k-nearest-neighbor rule, held as dense adjacency and weight
+arrays. Graph geodesics come from Floyd-Warshall on the weight array; the
+eigenproblems use the package's LAPACK entry point, `kernels.eigh`.
 
 These methods embed only the points they were given. That limitation is
 intentional and preserved: no out-of-sample extension is offered here.
@@ -11,12 +12,12 @@ intentional and preserved: no out-of-sample extension is offered here.
 
 from __future__ import annotations
 
-import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .kernels import SymMatrix, eigh, symmetrize
+from .linear_dr import mds_embed
 from .rng import Stream
 
 __all__ = [
@@ -69,60 +70,46 @@ def pairwise_distances(data: np.ndarray) -> np.ndarray:
 
 @dataclass
 class NeighborGraph:
-    """Symmetric weighted neighbor graph.
+    """Symmetric weighted neighbor graph as two dense n x n arrays.
 
-    ``edges`` holds (i, j, weight) with i < j, each undirected edge once.
+    ``adjacency`` is boolean, symmetric and false on the diagonal.
+    ``weights`` holds each edge's weight and 0 off the edges; an edge may
+    weigh 0 itself (duplicate points under Euclidean weights), so the
+    edges are read from ``adjacency``, never from ``weights > 0``.
     ``components`` lists the vertex sets of connected components in
     ascending order of smallest member; disconnection is data, not an
     error, so callers decide how to react.
     """
 
-    n: int
-    edges: list
-    rule: str
-    weight_rule: str
-    components: list = field(default_factory=list)
+    adjacency: np.ndarray
+    weights: np.ndarray
+    components: list
 
     @property
-    def component_count(self) -> int:
-        return len(self.components)
-
-    def adjacency_lists(self) -> list:
-        adj = [[] for _ in range(self.n)]
-        for i, j, w in self.edges:
-            adj[i].append((j, w))
-            adj[j].append((i, w))
-        return adj
-
-    def weight_matrix(self) -> np.ndarray:
-        w = np.zeros((self.n, self.n))
-        for i, j, val in self.edges:
-            w[i, j] = val
-            w[j, i] = val
-        return w
+    def n(self) -> int:
+        return self.adjacency.shape[0]
 
 
-def _components_from_edges(n: int, edges: list) -> list:
-    seen = [False] * n
-    adj = [[] for _ in range(n)]
-    for i, j, _ in edges:
-        adj[i].append(j)
-        adj[j].append(i)
+def _nearest_neighbors(dist: np.ndarray, k: int) -> np.ndarray:
+    """Each row's k nearest other points, ties broken toward the lower index."""
+    ranked = dist.copy()
+    np.fill_diagonal(ranked, np.inf)
+    return np.argsort(ranked, axis=1, kind="stable")[:, :k]
+
+
+def _components(adjacency: np.ndarray) -> list:
+    """Connected components by breadth-first search, one frontier per step."""
+    unseen = np.ones(adjacency.shape[0], dtype=bool)
     components = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        stack = [start]
-        seen[start] = True
-        members = []
-        while stack:
-            u = stack.pop()
-            members.append(u)
-            for v in adj[u]:
-                if not seen[v]:
-                    seen[v] = True
-                    stack.append(v)
-        components.append(sorted(members))
+    while unseen.any():
+        members = np.zeros_like(unseen)
+        frontier = members.copy()
+        frontier[np.argmax(unseen)] = True
+        while frontier.any():
+            members |= frontier
+            frontier = adjacency[frontier].any(axis=0) & ~members
+        unseen &= ~members
+        components.append(np.flatnonzero(members).tolist())
     return components
 
 
@@ -157,56 +144,30 @@ def build_graph(
         raise ValueError("gaussian weights need a positive bandwidth t")
 
     dist = pairwise_distances(x)
-    pairs = set()
     if eps is not None:
-        ii, jj = np.nonzero(np.triu(dist <= eps, 1))
-        pairs.update(zip(ii.tolist(), jj.tolist()))
-        rule = f"epsilon({eps:g})"
+        adjacency = dist <= eps
+        np.fill_diagonal(adjacency, False)
     else:
-        order = np.arange(n)
-        for i in range(n):
-            ranked = np.lexsort((order, dist[i]))
-            picked = [j for j in ranked if j != i][:knn]
-            for j in picked:
-                pairs.add((min(i, j), max(i, j)))
-        rule = f"knn({knn})"
-
-    edges = []
-    for i, j in sorted(pairs):
-        d = float(dist[i, j])
-        w = float(np.exp(-(d * d) / t)) if weight == "gaussian" else d
-        edges.append((i, j, w))
-    weight_rule = f"gaussian({t:g})" if weight == "gaussian" else "euclidean"
-    components = _components_from_edges(n, edges)
-    return NeighborGraph(
-        n=n, edges=edges, rule=rule, weight_rule=weight_rule, components=components
-    )
+        adjacency = np.zeros((n, n), dtype=bool)
+        adjacency[np.arange(n)[:, None], _nearest_neighbors(dist, knn)] = True
+        adjacency |= adjacency.T
+    edge_weight = np.exp(-(dist * dist) / t) if weight == "gaussian" else dist
+    weights = np.where(adjacency, edge_weight, 0.0)
+    return NeighborGraph(adjacency, weights, _components(adjacency))
 
 
 def shortest_paths(g: NeighborGraph) -> SymMatrix:
-    """All-pairs graph geodesics by Dijkstra from every source.
+    """All-pairs graph geodesics by Floyd-Warshall, one pivot per step.
 
-    Unreachable pairs get +inf. The result is symmetrized by the entrywise
-    minimum of the two directions, which removes last-bit asymmetry from
-    summing the same edge weights in different orders.
+    Unreachable pairs get +inf. Each step updates (i, j) and (j, i) from
+    the same two terms in swapped order, so the result is symmetric to
+    the bit.
     """
-    adj = g.adjacency_lists()
-    out = np.full((g.n, g.n), np.inf)
-    for src in range(g.n):
-        dist = out[src]
-        dist[src] = 0.0
-        heap = [(0.0, src)]
-        while heap:
-            d, u = heapq.heappop(heap)
-            if d > dist[u]:
-                continue
-            for v, w in adj[u]:
-                nd = d + w
-                if nd < dist[v]:
-                    dist[v] = nd
-                    heapq.heappush(heap, (nd, v))
-    sym = np.minimum(out, out.T)
-    return SymMatrix.from_exact(sym)
+    geo = np.where(g.adjacency, g.weights, np.inf)
+    np.fill_diagonal(geo, 0.0)
+    for k in range(g.n):
+        np.minimum(geo, geo[:, k, None] + geo[k], out=geo)
+    return SymMatrix.from_exact(geo)
 
 
 @dataclass
@@ -215,14 +176,11 @@ class GraphLaplacian:
 
     lap: np.ndarray
     degrees: np.ndarray
-    weights: np.ndarray
 
 
 def graph_laplacian(g: NeighborGraph) -> GraphLaplacian:
-    w = g.weight_matrix()
-    deg = w.sum(axis=1)
-    lap = np.diag(deg) - w
-    return GraphLaplacian(lap=lap, degrees=deg, weights=w)
+    deg = g.weights.sum(axis=1)
+    return GraphLaplacian(lap=np.diag(deg) - g.weights, degrees=deg)
 
 
 def isomap(data: np.ndarray, d: int, eps: float | None = None, knn: int | None = None) -> np.ndarray:
@@ -232,18 +190,11 @@ def isomap(data: np.ndarray, d: int, eps: float | None = None, knn: int | None =
     components are undefined and a DisconnectedGraphError explains the
     neighborhood-size tradeoff.
     """
-    from .linear_dr import mds_embed
-
     g = build_graph(data, eps=eps, knn=knn, weight="euclidean")
-    if g.component_count != 1:
+    if len(g.components) != 1:
         raise DisconnectedGraphError(g.components, "isomap")
     geo = shortest_paths(g)
     return mds_embed(geo, d).embeddings
-
-
-def _nearest_neighbors(dist_row: np.ndarray, i: int, k: int) -> np.ndarray:
-    order = np.lexsort((np.arange(dist_row.shape[0]), dist_row))
-    return np.asarray([j for j in order if j != i][:k], dtype=int)
 
 
 def lle_weights(data: np.ndarray, k: int) -> np.ndarray:
@@ -261,7 +212,7 @@ def lle_weights(data: np.ndarray, k: int) -> np.ndarray:
     n = x.shape[0]
     if not 1 <= k < n:
         raise ValueError(f"K must be in [1, {n - 1}], got {k}")
-    dist = pairwise_distances(x)
+    neighbors = _nearest_neighbors(pairwise_distances(x), k)
     w = np.zeros((n, n))
     kkt = np.zeros((k + 1, k + 1))
     kkt[k, :k] = 1.0
@@ -269,7 +220,7 @@ def lle_weights(data: np.ndarray, k: int) -> np.ndarray:
     rhs = np.zeros(k + 1)
     rhs[k] = 1.0
     for i in range(n):
-        nbrs = _nearest_neighbors(dist[i], i, k)
+        nbrs = neighbors[i]
         z = x[nbrs] - x[i]
         c = z @ z.T
         kkt[:k, :k] = c
@@ -357,7 +308,7 @@ def laplacian_eigenmaps(
     v_j = D^(-1/2) u_j satisfy V^T D V = I_d and V^T D 1 = 0.
     """
     g = build_graph(data, eps=eps, knn=knn, weight="gaussian", t=t)
-    if g.component_count != 1:
+    if len(g.components) != 1:
         raise DisconnectedGraphError(g.components, "laplacian_eigenmaps")
     n = g.n
     if not 1 <= d < n:

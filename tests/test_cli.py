@@ -544,6 +544,22 @@ def test_reduce_le_records_its_default_bandwidth(tmp_path):
     assert manifests[0]["config_digest"] == manifests[1]["config_digest"]
 
 
+def test_reduce_takes_no_seed(tmp_path, capsys):
+    """No reduction draws a random number, so reduce has no seed to set:
+    its manifest records seed 0, as analyze's does."""
+    code, out = _run_reduce(tmp_path, "pca.csv", ["--method", "pca"])
+    assert code == 0
+    assert load_manifest(out + ".manifest.json")["seed"] == 0
+    with pytest.raises(SystemExit) as exc:
+        _run_reduce(tmp_path, "s.csv", ["--method", "pca", "--seed", "5"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    code, _ = _run_reduce(tmp_path, "c.csv", ["--method", "pca"],
+                          config_text="[reduce]\nseed = 5\n")
+    assert code == 2
+    assert "seed" in capsys.readouterr().err
+
+
 def test_kernel_approx_manifest_records_kernel_settings(tmp_path):
     roll = str(tmp_path / "roll.csv")
     assert main(["gen", "swiss-roll", "--n", "30", "--output", roll]) == 0
@@ -617,7 +633,7 @@ def _replay_argv(manifest, tmp_path):
         if value is not None:
             argv += ["--" + key.replace("_", "-")]
             argv += [str(v) for v in value] if isinstance(value, list) else [str(value)]
-    if manifest["subcommand"] != "analyze":
+    if manifest["subcommand"] not in ("analyze", "reduce"):
         argv += ["--seed", str(manifest["seed"])]
     if settings is not None:
         cfg = tmp_path / "replay.ini"

@@ -284,14 +284,6 @@ def test_eigendecomposition_n():
 # -------------------------------------------------------------- FiniteSpace
 
 
-def test_finite_space_index_lookup():
-    sp = FiniteSpace(["a", "b", "c"], np.array([0.5, 0.25, 0.25]))
-    assert sp.n == 3
-    assert sp.index("b") == 1
-    with pytest.raises(KeyError):
-        sp.index("z")
-
-
 def test_finite_space_rejects_bad_distributions():
     with pytest.raises(ValueError, match="positive"):
         FiniteSpace(["a", "b"], np.array([1.0, 0.0]))

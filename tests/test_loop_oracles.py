@@ -7,8 +7,16 @@ the row-major cyclic Jacobi they replaced live on below, unchanged, and the
 library must agree with them: bit for bit on the counts (integers held in
 float64), and to rounding on the eigendecomposition (the rotation order
 differs, so the floating-point path does too).
+
+The neighbor graph is two dense arrays, its geodesics are Floyd-Warshall
+and its neighbour ranking is one stable ``argsort`` over every row. The
+edge list, depth-first components, heap Dijkstra and per-row ``lexsort``
+they replaced live on below too. Everything but the geodesics must match
+bit for bit; the geodesics sum the same edges in another order, so they
+match to rounding, with the same unreachable pairs.
 """
 
+import heapq
 import warnings
 
 import numpy as np
@@ -18,6 +26,13 @@ from hypothesis import strategies as st
 
 from kernelcontrast.contrastive import CorpusStats, corpus_stats
 from kernelcontrast.kernels import FiniteSpace, _finish, _solver_input, jacobi_eigh
+from kernelcontrast.manifold import (
+    build_graph,
+    graph_laplacian,
+    lle_weights,
+    pairwise_distances,
+    shortest_paths,
+)
 
 # ------------------------------------------------------------ corpus_stats
 
@@ -185,3 +200,184 @@ def test_jacobi_hard_cases_emit_no_warning(name):
     np.testing.assert_allclose(eig.reconstruct(), a, rtol=0, atol=1e-13)
     n = a.shape[0]
     np.testing.assert_allclose(eig.eigenvectors.T @ eig.eigenvectors, np.eye(n), atol=1e-14)
+
+
+# ------------------------------------------------------------ neighbor graph
+
+
+def _lexsort_neighbors(dist_row, i, k):
+    order = np.lexsort((np.arange(dist_row.shape[0]), dist_row))
+    return np.asarray([j for j in order if j != i][:k], dtype=int)
+
+
+def _edge_list(x, eps=None, knn=None, weight="euclidean", t=None):
+    n = x.shape[0]
+    dist = pairwise_distances(x)
+    pairs = set()
+    if eps is not None:
+        ii, jj = np.nonzero(np.triu(dist <= eps, 1))
+        pairs.update(zip(ii.tolist(), jj.tolist()))
+    else:
+        for i in range(n):
+            for j in _lexsort_neighbors(dist[i], i, knn):
+                pairs.add((min(i, j), max(i, j)))
+    edges = []
+    for i, j in sorted(pairs):
+        d = float(dist[i, j])
+        w = float(np.exp(-(d * d) / t)) if weight == "gaussian" else d
+        edges.append((i, j, w))
+    return edges
+
+
+def _dfs_components(n, edges):
+    seen = [False] * n
+    adj = [[] for _ in range(n)]
+    for i, j, _ in edges:
+        adj[i].append(j)
+        adj[j].append(i)
+    components = []
+    for start in range(n):
+        if seen[start]:
+            continue
+        stack = [start]
+        seen[start] = True
+        members = []
+        while stack:
+            u = stack.pop()
+            members.append(u)
+            for v in adj[u]:
+                if not seen[v]:
+                    seen[v] = True
+                    stack.append(v)
+        components.append(sorted(members))
+    return components
+
+
+def _heap_dijkstra(n, edges):
+    adj = [[] for _ in range(n)]
+    for i, j, w in edges:
+        adj[i].append((j, w))
+        adj[j].append((i, w))
+    out = np.full((n, n), np.inf)
+    for src in range(n):
+        dist = out[src]
+        dist[src] = 0.0
+        heap = [(0.0, src)]
+        while heap:
+            d, u = heapq.heappop(heap)
+            if d > dist[u]:
+                continue
+            for v, w in adj[u]:
+                nd = d + w
+                if nd < dist[v]:
+                    dist[v] = nd
+                    heapq.heappush(heap, (nd, v))
+    return np.minimum(out, out.T)
+
+
+def _loop_lle_weights(x, k):
+    n = x.shape[0]
+    dist = pairwise_distances(x)
+    w = np.zeros((n, n))
+    kkt = np.zeros((k + 1, k + 1))
+    kkt[k, :k] = 1.0
+    kkt[:k, k] = 1.0
+    rhs = np.zeros(k + 1)
+    rhs[k] = 1.0
+    for i in range(n):
+        nbrs = _lexsort_neighbors(dist[i], i, k)
+        z = x[nbrs] - x[i]
+        c = z @ z.T
+        kkt[:k, :k] = c
+        sol = np.linalg.lstsq(kkt, rhs, rcond=None)[0]
+        wi = sol[:k]
+        total = wi.sum()
+        if not np.isfinite(wi).all() or abs(total) < 1e-12:
+            reg = max(1e-3 * np.trace(c) / k, 1e-12)
+            wi = np.linalg.solve(c + reg * np.eye(k), np.ones(k))
+            total = wi.sum()
+        w[i, nbrs] = wi / total
+    return w
+
+
+def _points(kind, seed):
+    """Seeded point sets: lattice points full of exact distance ties and
+    repeated points, continuous clouds with planted duplicates, two far
+    clusters, and the two-point minimum."""
+    rng = np.random.default_rng(seed)
+    if kind == "lattice":
+        return rng.integers(0, 4, size=(int(rng.integers(17, 41)), 2)).astype(float)
+    if kind == "duplicates":
+        x = rng.standard_normal((int(rng.integers(10, 31)), 3))
+        picks = rng.integers(0, x.shape[0], size=4)
+        return np.concatenate((x, x[picks]))
+    if kind == "clusters":
+        x = rng.standard_normal((int(rng.integers(8, 25)), 2))
+        x[: x.shape[0] // 3] += 100.0
+        return x
+    return rng.standard_normal((2, 2))
+
+
+GRAPH_CASES = [(kind, seed) for kind in ("lattice", "duplicates", "clusters", "pair")
+               for seed in range(12)]
+
+
+def _graph_args(x, seed, weight):
+    rng = np.random.default_rng(seed + 1000)
+    n = x.shape[0]
+    t = float(rng.uniform(0.5, 4.0)) if weight == "gaussian" else None
+    if seed % 2:
+        return dict(knn=int(rng.integers(1, min(n - 1, 6) + 1)), weight=weight, t=t)
+    dist = pairwise_distances(x)
+    eps = float(np.quantile(dist[dist > 0], rng.uniform(0.05, 0.4)))
+    return dict(eps=eps, weight=weight, t=t)
+
+
+@pytest.mark.parametrize("weight", ["euclidean", "gaussian"])
+@pytest.mark.parametrize("kind, seed", GRAPH_CASES)
+def test_graph_matches_edge_list(kind, seed, weight):
+    x = _points(kind, seed)
+    n = x.shape[0]
+    args = _graph_args(x, seed, weight)
+    g = build_graph(x, **args)
+    edges = _edge_list(x, **args)
+
+    adjacency = np.zeros((n, n), dtype=bool)
+    weights = np.zeros((n, n))
+    for i, j, w in edges:
+        adjacency[i, j] = adjacency[j, i] = True
+        weights[i, j] = weights[j, i] = w
+    assert g.adjacency.dtype == bool
+    np.testing.assert_array_equal(g.adjacency, adjacency)
+    assert g.weights.tobytes() == weights.tobytes()
+    assert g.components == _dfs_components(n, edges)
+
+    lap = graph_laplacian(g)
+    deg = weights.sum(axis=1)
+    assert lap.degrees.tobytes() == deg.tobytes()
+    assert lap.lap.tobytes() == (np.diag(deg) - weights).tobytes()
+
+    geo = shortest_paths(g).values
+    want = _heap_dijkstra(n, edges)
+    np.testing.assert_array_equal(geo, geo.T)
+    np.testing.assert_array_equal(np.isinf(geo), np.isinf(want))
+    finite = np.isfinite(want)
+    assert np.all(np.abs(geo[finite] - want[finite]) <= 1e-15 * want[finite])
+
+
+def test_graph_cases_cover_zero_weight_edges_and_disconnection():
+    """The grid above reaches the cases the oracle comparison exists for."""
+    zero_edges = disconnected = 0
+    for kind, seed in GRAPH_CASES:
+        x = _points(kind, seed)
+        g = build_graph(x, **_graph_args(x, seed, "euclidean"))
+        zero_edges += bool(np.any(g.adjacency & (g.weights == 0.0)))
+        disconnected += len(g.components) > 1
+    assert zero_edges >= 10 and disconnected >= 10
+
+
+@pytest.mark.parametrize("kind, seed", [c for c in GRAPH_CASES if c[0] != "pair"])
+def test_lle_weights_match_lexsort_loop(kind, seed):
+    x = _points(kind, seed)
+    k = int(np.random.default_rng(seed).integers(1, 7))
+    assert lle_weights(x, k).tobytes() == _loop_lle_weights(x, k).tobytes()

@@ -4,6 +4,7 @@ import pytest
 from kernelcontrast.manifold import (
     DegenerateGeometryError,
     DisconnectedGraphError,
+    NeighborGraph,
     build_graph,
     graph_laplacian,
     isomap,
@@ -35,38 +36,42 @@ def test_pairwise_distances_basics():
 
 def test_eps_graph_edges():
     g = build_graph(LINE4, eps=1.5)
-    assert [(i, j) for i, j, _ in g.edges] == [(0, 1), (1, 2)]
-    assert g.edges[0][2] == 1.0
+    assert g.adjacency.dtype == bool
+    assert list(zip(*np.nonzero(np.triu(g.adjacency)))) == [(0, 1), (1, 2)]
+    np.testing.assert_array_equal(g.adjacency, g.adjacency.T)
+    assert g.weights[0, 1] == 1.0
     assert g.components == [[0, 1, 2], [3]]
-    assert g.component_count == 2
 
 
 def test_eps_boundary_is_inclusive():
     g = build_graph(np.array([[0.0], [2.0]]), eps=2.0)
-    assert len(g.edges) == 1
+    assert g.adjacency[0, 1] and g.adjacency[1, 0]
+    assert not g.adjacency.diagonal().any()
 
 
 def test_knn_graph_is_symmetrized_by_union():
     # point 3 is far away; its nearest neighbor is 2, but nobody picks 3.
     # Edge union still joins (2, 3).
     g = build_graph(LINE4, knn=1)
-    assert (2, 3, 8.0) in g.edges
-    assert g.component_count == 1
+    assert g.adjacency[2, 3] and g.adjacency[3, 2]
+    assert g.weights[2, 3] == g.weights[3, 2] == 8.0
+    assert len(g.components) == 1
 
 
 def test_knn_tie_breaks_toward_lower_index():
-    # point at origin with two neighbors at identical distance
-    pts = np.array([[0.0], [1.0], [-1.0]])
+    # point 0 has neighbors 1 and 2 at identical distance; 1 and 2 each
+    # have a closer partner (3 and 4), so only 0's own pick joins them
+    pts = np.array([[0.0], [1.0], [-1.0], [1.1], [-1.1]])
     g = build_graph(pts, knn=1)
-    # 0 picks 1 (equal distance, lower index); 1 and 2 both pick 0
-    assert (0, 1) in [(i, j) for i, j, _ in g.edges]
+    # 0 picks 1 (equal distance, lower index), not 2
+    assert g.adjacency[0, 1]
+    assert not g.adjacency[0, 2]
 
 
 def test_gaussian_weights():
     g = build_graph(LINE4, eps=1.5, weight="gaussian", t=2.0)
-    w = dict(((i, j), v) for i, j, v in g.edges)
-    assert w[(0, 1)] == pytest.approx(np.exp(-0.5))
-    assert g.weight_rule == "gaussian(2)"
+    assert g.weights[0, 1] == pytest.approx(np.exp(-0.5))
+    assert g.weights[1, 0] == g.weights[0, 1]
 
 
 def test_build_graph_validation():
@@ -84,28 +89,25 @@ def test_build_graph_validation():
 
 def test_weight_matrix_matches_edges():
     g = build_graph(LINE4, eps=1.5)
-    w = g.weight_matrix()
-    assert w[0, 1] == w[1, 0] == 1.0
-    assert w[0, 2] == 0.0
+    assert g.weights[0, 1] == g.weights[1, 0] == 1.0
+    assert g.weights[0, 2] == 0.0 and not g.adjacency[0, 2]
+    np.testing.assert_array_equal(g.weights != 0.0, g.adjacency)
 
 
 # ------------------------------------------------------------ shortest paths
 
 
-def test_dijkstra_hand_oracle():
+def test_geodesics_hand_oracle():
     """Five vertices, worked out on paper.
 
     Graph: 0-1 (1), 1-2 (1), 0-2 (3), 2-3 (2), 3-4 (1).
     The 0 to 2 geodesic goes through 1 (length 2), not the direct edge (3).
     """
-    from kernelcontrast.manifold import NeighborGraph
-
+    weights = np.zeros((5, 5))
+    for i, j, w in [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 3.0), (2, 3, 2.0), (3, 4, 1.0)]:
+        weights[i, j] = weights[j, i] = w
     g = NeighborGraph(
-        n=5,
-        edges=[(0, 1, 1.0), (1, 2, 1.0), (0, 2, 3.0), (2, 3, 2.0), (3, 4, 1.0)],
-        rule="handmade",
-        weight_rule="euclidean",
-        components=[[0, 1, 2, 3, 4]],
+        adjacency=weights > 0.0, weights=weights, components=[[0, 1, 2, 3, 4]]
     )
     geo = shortest_paths(g).values
     expected = np.array(
@@ -150,7 +152,8 @@ def test_laplacian_quadratic_form_identity():
     g = build_graph(Stream(2).uniform(16, -1, 1).reshape(8, 2), knn=2)
     gl = graph_laplacian(g)
     x = Stream(3).normal(8)
-    direct = sum(w * (x[i] - x[j]) ** 2 for i, j, w in g.edges)
+    i, j = np.nonzero(np.triu(g.adjacency))
+    direct = float(np.sum(g.weights[i, j] * (x[i] - x[j]) ** 2))
     assert x @ gl.lap @ x == pytest.approx(direct, abs=1e-12)
 
 
