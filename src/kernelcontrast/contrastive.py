@@ -12,9 +12,13 @@ learning into assertions a test can make at tight tolerance:
   normalized pair matrix in disguise,
 * NCE recovers the log count ratio.
 
-The independent oracles those checks compare against (PMI from counts,
-row-normalized K_plus, Eckart-Young factors, conductance by brute force)
-live here too, next to the losses they certify.
+Every trainer runs on one core: `_fit_tables` fits its tables in one
+`minimize` run, `_logistic_loss_grad` is the NCE weighted binary
+cross-entropy that SGNS applies to word-context pairs, and `_shift` is
+the activation's offset. The independent oracles those checks compare
+against (PMI from counts, row-normalized K_plus, Eckart-Young factors,
+conductance by brute force) live here too, next to the losses they
+certify, and none of them calls the core.
 """
 
 from __future__ import annotations
@@ -69,6 +73,49 @@ __all__ = [
 ]
 
 ENUMERATION_BUDGET = 2_000_000
+
+
+# ---------------------------------------------------------------------------
+# the training core every trainer shares
+
+
+def _shift(k: float, activation: str) -> float:
+    """Score offset of the NCE activation: sigmoid(s - log k) for
+    "k_sigmoid", sigmoid(s) for "sigmoid". k is the noise-to-data ratio
+    under either activation, so it must be positive under both."""
+    if not k > 0.0:
+        raise ValueError(f"k must be positive, got {k!r}")
+    if activation == "k_sigmoid":
+        return np.log(k)
+    if activation == "sigmoid":
+        return 0.0
+    raise ValueError(f"unknown activation {activation!r}")
+
+
+def _logistic_loss_grad(z: np.ndarray, w_pos, w_neg):
+    """The NCE weighted binary cross-entropy on logits z (Gutmann &
+    Hyvarinen 2010), of which SGNS is the word-context case (Levy &
+    Goldberg 2014): sum w+ log(1 + e^-z) + w- log(1 + e^z), and its
+    gradient (w+ + w-) sigmoid(z) - w+ in z."""
+    loss = (w_pos * softplus(-z) + w_neg * softplus(z)).sum()
+    return loss, (w_pos + w_neg) * sigmoid(z) - w_pos
+
+
+def _fit_tables(objective, n: int, d: int, count: int, cfg: OptimizerConfig):
+    """Minimize ``objective`` over ``count`` n x d tables in one `minimize` run.
+
+    Table i starts from ``EmbeddingTable.random(n, d, cfg.seed + i)``, and
+    ``objective(*tables)`` returns the loss and one gradient per table.
+    Returns the trained tables, each carrying the run as ``fits``.
+    """
+
+    def packed(flat):
+        loss, *grads = objective(*flat.reshape(count, n, d))
+        return loss, np.concatenate([g.reshape(-1) for g in grads])
+
+    x0 = np.concatenate([EmbeddingTable.random(n, d, cfg.seed + i).flat() for i in range(count)])
+    fit = minimize(packed, x0, cfg)
+    return [EmbeddingTable(rows, fits=(fit,)) for rows in fit.x.reshape(count, n, d)]
 
 
 # ---------------------------------------------------------------------------
@@ -180,19 +227,16 @@ def nce_loss(scores, labels, k: float) -> float:
 
 def nce_loss_grad(scores, labels, k: float):
     """nce_loss value together with its gradient in the scores."""
-    if not k > 0.0:
-        raise ValueError(f"k must be positive, got {k!r}")
+    shift = _shift(k, "k_sigmoid")
     s = np.asarray(scores, dtype=float)
     y = np.asarray(labels, dtype=float)
     if s.shape != y.shape or s.ndim != 1 or s.shape[0] == 0:
         raise ValueError("scores and labels must be equal-length nonempty vectors")
     if not np.isin(y, (0.0, 1.0)).all():
         raise ValueError("labels must be 0 or 1")
-    u = s - np.log(k)
-    per_sample = y * softplus(-u) + (1.0 - y) * softplus(u)
     m = s.shape[0]
-    grad = (sigmoid(u) - y) / m
-    return float(per_sample.mean()), grad
+    loss, grad = _logistic_loss_grad(s - shift, y, 1.0 - y)
+    return float(loss / m), grad / m
 
 
 def train_nce(
@@ -219,25 +263,16 @@ def train_nce(
         raise ValueError("count vectors must share one shape")
     if np.any(pos < 0) or np.any(neg < 0) or np.any(pos + neg == 0):
         raise ValueError("each item needs nonnegative counts, not all zero")
-    if activation == "k_sigmoid":
-        shift = np.log(k) if k > 0 else None
-        if shift is None:
-            raise ValueError(f"k must be positive, got {k!r}")
-    elif activation == "sigmoid":
-        shift = 0.0
-    else:
-        raise ValueError(f"unknown activation {activation!r}")
+    shift = _shift(k, activation)
     total = pos.sum() + neg.sum()
 
     def objective(theta):
-        u = theta - shift
-        loss = (pos * softplus(-u) + neg * softplus(u)).sum() / total
-        grad = ((pos + neg) * sigmoid(u) - pos) / total
-        return loss, grad
+        loss, grad = _logistic_loss_grad(theta[:, 0] - shift, pos, neg)
+        return loss / total, grad / total
 
     cfg = config or OptimizerConfig(tol=1e-9)
-    theta0 = Stream(cfg.seed).uniform(pos.shape[0], -0.1, 0.1)
-    return minimize(objective, theta0, cfg)
+    (scores,) = _fit_tables(objective, pos.shape[0], 1, 1, cfg)
+    return scores.fits[0]
 
 
 def sgns_expected_loss(
@@ -268,24 +303,16 @@ def sgns_loss_grad(
     neg_exponent: float = 1.0,
 ):
     """Loss plus gradients in both tables, for the optimizer."""
-    if not k > 0.0:
-        raise ValueError(f"k must be positive, got {k!r}")
+    shift = _shift(k, activation)
     n = stats.space.n
     if phi_rows.shape[0] != n or psi_rows.shape[0] != n:
         raise ValueError("embedding tables must have one row per vocabulary item")
     if phi_rows.shape[1] != psi_rows.shape[1]:
         raise ValueError("target and context tables must share a dimension")
     q = _negative_distribution(stats, neg_exponent)
-    w_pos = stats.counts
-    w_neg = k * np.outer(stats.counts.sum(axis=1), q)
-    z = phi_rows @ psi_rows.T
-    if activation == "k_sigmoid":
-        z = z - np.log(k)
-    elif activation != "sigmoid":
-        raise ValueError(f"unknown activation {activation!r}")
-    loss = float((w_pos * softplus(-z) + w_neg * softplus(z)).sum())
-    dz = (w_pos + w_neg) * sigmoid(z) - w_pos
-    return loss, dz @ psi_rows, dz.T @ phi_rows
+    z = phi_rows @ psi_rows.T - shift
+    loss, dz = _logistic_loss_grad(z, stats.counts, k * np.outer(stats.counts.sum(axis=1), q))
+    return float(loss), dz @ psi_rows, dz.T @ phi_rows
 
 
 def _negative_distribution(stats: CorpusStats, neg_exponent: float) -> np.ndarray:
@@ -319,21 +346,12 @@ def train_sgns(
     if d < 1:
         raise ValueError(f"d must be positive, got {d}")
     cfg = config or OptimizerConfig(tol=1e-9, max_iter=20000)
-    phi0 = EmbeddingTable.random(n, d, cfg.seed)
-    psi0 = EmbeddingTable.random(n, d, cfg.seed + 1)
-    split = n * d
 
-    def objective(flat):
-        phi_rows = flat[:split].reshape(n, d)
-        psi_rows = flat[split:].reshape(n, d)
-        loss, dphi, dpsi = sgns_loss_grad(phi_rows, psi_rows, stats, k, activation, neg_exponent)
-        return loss, np.concatenate((dphi.reshape(-1), dpsi.reshape(-1)))
+    def objective(phi_rows, psi_rows):
+        return sgns_loss_grad(phi_rows, psi_rows, stats, k, activation, neg_exponent)
 
-    fit = minimize(objective, np.concatenate((phi0.flat(), psi0.flat())), cfg)
-    return (
-        EmbeddingTable(fit.x[:split].reshape(n, d), fits=(fit,)),
-        EmbeddingTable(fit.x[split:].reshape(n, d), fits=(fit,)),
-    )
+    phi, psi = _fit_tables(objective, n, d, 2, cfg)
+    return phi, psi
 
 
 # ---------------------------------------------------------------------------
@@ -645,41 +663,26 @@ def train_infonce(
     n = process.n
     cfg = config or OptimizerConfig(tol=1e-8, max_iter=20000)
     if mode == "untied":
-        f0 = EmbeddingTable.random(n, d, cfg.seed)
-        g0 = EmbeddingTable.random(n, d, cfg.seed + 1)
-        split = n * d
 
-        def objective(flat):
-            f_rows = flat[:split].reshape(n, d)
-            g_rows = flat[split:].reshape(n, d)
-            s = f_rows @ g_rows.T / tau
-            loss, ds = simclr_loss_grad(s, process, b)
-            return loss, np.concatenate(
-                ((ds @ g_rows / tau).reshape(-1), (ds.T @ f_rows / tau).reshape(-1))
-            )
+        def untied(f_rows, g_rows):
+            loss, ds = simclr_loss_grad(f_rows @ g_rows.T / tau, process, b)
+            return loss, ds @ g_rows / tau, ds.T @ f_rows / tau
 
-        fit = minimize(objective, np.concatenate((f0.flat(), g0.flat())), cfg)
-        return (
-            EmbeddingTable(fit.x[:split].reshape(n, d), fits=(fit,)),
-            EmbeddingTable(fit.x[split:].reshape(n, d), fits=(fit,)),
-        )
+        f, g = _fit_tables(untied, n, d, 2, cfg)
+        return f, g
     if mode == "tied":
-        phi0 = EmbeddingTable.random(n, d, cfg.seed)
 
-        def objective(flat):
-            rows = flat.reshape(n, d)
+        def tied(rows):
             norms = np.linalg.norm(rows, axis=1)
             if np.any(norms == 0.0):
                 raise ValueError("cosine score undefined: an embedding row is zero")
             unit = rows / norms[:, None]
-            s = unit @ unit.T / tau
-            loss, ds = simclr_loss_grad(s, process, b)
+            loss, ds = simclr_loss_grad(unit @ unit.T / tau, process, b)
             du = (ds + ds.T) @ unit / tau
-            dr = (du - unit * (du * unit).sum(axis=1, keepdims=True)) / norms[:, None]
-            return loss, dr.reshape(-1)
+            return loss, (du - unit * (du * unit).sum(axis=1, keepdims=True)) / norms[:, None]
 
-        fit = minimize(objective, phi0.flat(), cfg)
-        return EmbeddingTable(fit.x.reshape(n, d), fits=(fit,))
+        (phi,) = _fit_tables(tied, n, d, 1, cfg)
+        return phi
     raise ValueError(f"unknown mode {mode!r}")
 
 
@@ -726,14 +729,8 @@ def train_spectral(
     if not 1 <= d <= n:
         raise ValueError(f"d must be in [1, {n}], got {d}")
     cfg = config or OptimizerConfig(tol=1e-9, max_iter=20000)
-    phi0 = EmbeddingTable.random(n, d, cfg.seed)
-
-    def objective(flat):
-        loss, grad = spectral_loss_grad(flat.reshape(n, d), process)
-        return loss, grad.reshape(-1)
-
-    fit = minimize(objective, phi0.flat(), cfg)
-    return EmbeddingTable(fit.x.reshape(n, d), fits=(fit,))
+    (phi,) = _fit_tables(lambda rows: spectral_loss_grad(rows, process), n, d, 1, cfg)
+    return phi
 
 
 # ---------------------------------------------------------------------------
@@ -835,18 +832,13 @@ def linear_probe_error(
     onehot = np.zeros((n, c))
     onehot[np.arange(n), task.labels] = 1.0
     cfg = config or OptimizerConfig(tol=1e-8, max_iter=5000)
-    w0 = Stream(cfg.seed).uniform(c * d, -0.1, 0.1)
 
-    def objective(flat):
-        w = flat.reshape(c, d)
-        logits = phi.rows @ w.T
-        probs = softmax(logits)
+    def objective(w):
+        probs = softmax(phi.rows @ w.T)
         safe = np.maximum(probs[np.arange(n), task.labels], 1e-300)
         loss = float(-(p * np.log(safe)).sum())
-        grad = ((probs - onehot) * p[:, None]).T @ phi.rows
-        return loss, grad.reshape(-1)
+        return loss, ((probs - onehot) * p[:, None]).T @ phi.rows
 
-    w = minimize(objective, w0, cfg).x
-    logits = phi.rows @ w.reshape(c, d).T
-    predicted = np.argmax(logits, axis=1)
+    (w,) = _fit_tables(objective, c, d, 1, cfg)
+    predicted = np.argmax(phi.rows @ w.rows.T, axis=1)
     return float(p[predicted != task.labels].sum())

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .encoders import MlpEncoder, OptimizeResult, OptimizerConfig, minimize
-from .kernels import as_sym_array
+from .kernels import as_sym_array, fix_signs
 from .rng import Stream
 
 __all__ = [
@@ -142,7 +142,8 @@ def _train_stages(k: np.ndarray, w: np.ndarray, d: int, fit_stage) -> Eigenfunct
     ``fit_stage(j, objective)`` minimizes stage j's objective over the
     function values on the space and returns (values, OptimizeResult).
     Each trained function is stored normalized to unit p-weighted second
-    moment, its sign fixed so the largest-magnitude value is positive.
+    moment, its sign fixed by `fix_signs` once every stage is trained: no
+    stage objective or estimate depends on the signs of earlier functions.
     """
     n = k.shape[0]
     if not 1 <= d <= n:
@@ -155,11 +156,10 @@ def _train_stages(k: np.ndarray, w: np.ndarray, d: int, fit_stage) -> Eigenfunct
     for j in range(d):
         psi, fit = fit_stage(j, _make_stage(m, w, values[:, :j].T, estimates[:j]))
         hat = psi / np.sqrt(float(psi @ (w * psi)))
-        if hat[np.argmax(np.abs(hat))] < 0:
-            hat = -hat
         values[:, j] = hat
         estimates[j] = float(hat @ m @ hat)
         fits.append(fit)
+    fix_signs(values)
     scale = max(estimates[0], np.finfo(float).tiny)
     gaps = (estimates[:-1] - estimates[1:]) / scale
     return EigenfunctionSet(

@@ -80,13 +80,14 @@ def nystrom_fit(kernel: KernelSpec, landmarks, d: int) -> NystromModel:
     )
 
 
-def nystrom_eigenfunction(model: NystromModel, i: int, z) -> float:
-    """Nystrom extension of eigenfunction i (0-based) to a new point z.
+def nystrom_eigenfunction(model: NystromModel, i: int, points) -> np.ndarray:
+    """Nystrom extension of eigenfunction i (0-based) to a batch of points.
 
-    Computes sqrt(M) / lambda_i * sum_k K(x_k, z) u_i[k]. At a landmark
-    x_j this collapses to sqrt(M) * u_i[j] by the eigenvector identity.
-    Eigenvalues at or below the conditioning floor cannot be divided by
-    and raise IllConditionedError.
+    Computes sqrt(M) / lambda_i * sum_k K(z, x_k) u_i[k] for every point z,
+    one value per point, from one `cross_gram` call. At a landmark x_j this
+    collapses to sqrt(M) * u_i[j] by the eigenvector identity. Eigenvalues
+    at or below the conditioning floor cannot be divided by and raise
+    IllConditionedError.
     """
     if not 0 <= i < model.rank:
         raise IndexError(f"eigenfunction index {i} outside kept rank {model.rank}")
@@ -95,8 +96,8 @@ def nystrom_eigenfunction(model: NystromModel, i: int, z) -> float:
         raise IllConditionedError(
             f"eigenvalue {i} = {lam:.3e} is below the conditioning floor {model.floor:.3e}"
         )
-    k_vals = cross_gram(model.kernel, model.landmarks, [z])[:, 0]
-    return float(np.sqrt(len(model.landmarks)) / lam * np.dot(k_vals, model.eigenvectors[:, i]))
+    c = cross_gram(model.kernel, list(points), model.landmarks)
+    return np.sqrt(len(model.landmarks)) / lam * (c @ model.eigenvectors[:, i])
 
 
 def nystrom_features(model: NystromModel, points) -> np.ndarray:

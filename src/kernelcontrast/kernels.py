@@ -27,7 +27,6 @@ __all__ = [
     "table_kernel",
     "exp_pmi_kernel",
     "cross_gram",
-    "kernel_eval",
     "gram",
     "is_psd",
     "require_psd",
@@ -118,16 +117,21 @@ class EigenDecomposition:
         return (v * self.eigenvalues) @ v.T
 
 
-def _finish(eigenvalues: np.ndarray, vectors: np.ndarray) -> EigenDecomposition:
-    """Both solvers' output convention: eigenvalues in stable descending
-    order, each eigenvector column flipped so its largest-magnitude entry is
-    positive. Ties in magnitude resolve to the lowest index via argmax, which
-    keeps the convention deterministic for symmetric entry patterns."""
-    order = np.argsort(-eigenvalues, kind="stable")
-    vectors = vectors[:, order]
+def fix_signs(vectors: np.ndarray) -> np.ndarray:
+    """The package's one sign convention, applied in place: each column is
+    flipped so its largest-magnitude entry is positive. Ties in magnitude
+    resolve to the lowest index via argmax, which keeps the convention
+    deterministic for symmetric entry patterns."""
     peaks = vectors[np.argmax(np.abs(vectors), axis=0), np.arange(vectors.shape[1])]
     vectors[:, peaks < 0] *= -1.0
-    return EigenDecomposition(eigenvalues[order], vectors)
+    return vectors
+
+
+def _finish(eigenvalues: np.ndarray, vectors: np.ndarray) -> EigenDecomposition:
+    """Both solvers' output convention: eigenvalues in stable descending
+    order, eigenvector columns under `fix_signs`."""
+    order = np.argsort(-eigenvalues, kind="stable")
+    return EigenDecomposition(eigenvalues[order], fix_signs(vectors[:, order]))
 
 
 def _solver_input(matrix) -> np.ndarray:
@@ -279,9 +283,6 @@ class KernelSpec:
     sigma2: float = 0.0
     table: np.ndarray | None = None
 
-    def __call__(self, x, z) -> float:
-        return kernel_eval(self, x, z)
-
 
 def linear_kernel() -> KernelSpec:
     return KernelSpec(kind="linear")
@@ -369,11 +370,6 @@ def cross_gram(kernel: KernelSpec, xs, zs) -> np.ndarray:
         d2 = sq_x[:, None] + sq_z[None, :] - 2.0 * (x @ z.T)
         return np.exp(-np.maximum(d2, 0.0) / (2.0 * kernel.sigma2))
     raise ValueError(f"unknown kernel kind {kernel.kind!r}")
-
-
-def kernel_eval(kernel: KernelSpec, x, z) -> float:
-    """Evaluate a kernel at one pair of points: the 1 x 1 `cross_gram`."""
-    return float(cross_gram(kernel, [x], [z])[0, 0])
 
 
 def gram(kernel: KernelSpec, points) -> SymMatrix:

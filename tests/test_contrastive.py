@@ -164,6 +164,13 @@ def test_train_nce_validation():
         train_nce([1.0], [1.0], k=1.0, activation="relu")
 
 
+@pytest.mark.parametrize("activation", ["sigmoid", "k_sigmoid"])
+def test_train_nce_rejects_nonpositive_k_under_either_activation(activation):
+    """k is the noise-to-data ratio whichever activation reads it."""
+    with pytest.raises(ValueError, match="k must be positive"):
+        train_nce([1.0], [1.0], k=0.0, activation=activation)
+
+
 # ------------------------------------------------------------------ SGNS
 
 

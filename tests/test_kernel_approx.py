@@ -30,11 +30,9 @@ def test_nystrom_collapses_at_landmarks():
     model = nystrom_fit(kern, landmarks, d=6)
     m = len(landmarks)
     for i in range(model.usable_rank):
-        for j, lm in enumerate(landmarks):
-            val = nystrom_eigenfunction(model, i, lm)
-            assert val == pytest.approx(
-                np.sqrt(m) * model.eigenvectors[j, i], abs=1e-8
-            )
+        vals = nystrom_eigenfunction(model, i, landmarks)
+        assert vals.shape == (m,)
+        np.testing.assert_allclose(vals, np.sqrt(m) * model.eigenvectors[:, i], rtol=0, atol=1e-8)
 
 
 def test_nystrom_full_sampling_reproduces_gram():
@@ -90,10 +88,10 @@ def test_nystrom_ill_conditioned_eigenvalue_raises():
     model = nystrom_fit(gaussian_kernel(1.0), [pt, pt], d=2)
     assert model.usable_rank == 1
     with pytest.raises(IllConditionedError, match="conditioning floor"):
-        nystrom_eigenfunction(model, 1, pt)
+        nystrom_eigenfunction(model, 1, [pt])
     # index outside kept rank is a separate failure mode
     with pytest.raises(IndexError):
-        nystrom_eigenfunction(model, 2, pt)
+        nystrom_eigenfunction(model, 2, [pt])
 
 
 def test_nystrom_gram_approx_skips_floored_eigenvalues():
@@ -121,9 +119,9 @@ def test_usable_rank_is_what_the_extension_can_divide_by():
     assert RANK_FLOOR * model.eigenvalues[0] < model.eigenvalues[1] <= RANK_FLOOR
     assert model.usable_rank == 1
     assert nystrom_features(model, pts).shape == (2, 1)
-    nystrom_eigenfunction(model, 0, pts[0])
+    nystrom_eigenfunction(model, 0, pts)
     with pytest.raises(IllConditionedError):
-        nystrom_eigenfunction(model, 1, pts[0])
+        nystrom_eigenfunction(model, 1, pts)
 
 
 def test_nystrom_fit_validation():
@@ -167,12 +165,11 @@ def test_rff_inner_product_approximates_gaussian_kernel():
     """
     sigma2 = 1.3
     model = rff_sample(sigma2=sigma2, d=4000, n0=2, seed=11)
-    kern = gaussian_kernel(sigma2)
     pts = Stream(12).uniform(200, -1.5, 1.5).reshape(50, 2, 2)
     worst = 0.0
     for x, z in pts:
         approx = float(np.dot(rff_features(model, x), rff_features(model, z)))
-        exact = kern(x, z)
+        exact = np.exp(-np.square(x - z).sum() / (2.0 * sigma2))
         worst = max(worst, abs(approx - exact))
     assert worst < 0.06
 
@@ -181,7 +178,7 @@ def test_rff_error_concentrates_with_width():
     """Mean absolute error at one pair decreases from d=50 to d=5000."""
     x = np.array([0.3, -0.7])
     z = np.array([-0.2, 0.4])
-    exact = gaussian_kernel(1.0)(x, z)
+    exact = np.exp(-np.square(x - z).sum() / 2.0)
 
     def mean_err(d):
         errs = []

@@ -18,7 +18,6 @@ from kernelcontrast.kernels import (
     gram,
     is_psd,
     jacobi_eigh,
-    kernel_eval,
     linear_kernel,
     mercer_decompose,
     polynomial_kernel,
@@ -301,10 +300,11 @@ def test_finite_space_rejects_bad_distributions():
 def test_kernel_eval_values():
     x = np.array([1.0, 2.0])
     z = np.array([3.0, -1.0])
-    assert kernel_eval(linear_kernel(), x, z) == 1.0
-    assert kernel_eval(polynomial_kernel(2), x, z) == 4.0  # (1 + 1)^2
-    g = kernel_eval(gaussian_kernel(2.0), x, z)
-    assert g == pytest.approx(np.exp(-13.0 / 4.0))
+    np.testing.assert_array_equal(cross_gram(linear_kernel(), [x], [z]), [[1.0]])
+    np.testing.assert_array_equal(cross_gram(polynomial_kernel(2), [x], [z]), [[4.0]])  # (1 + 1)^2
+    g = cross_gram(gaussian_kernel(2.0), [x], [z])
+    assert g.shape == (1, 1)
+    assert g[0, 0] == pytest.approx(np.exp(-13.0 / 4.0))
 
 
 def test_kernel_parameter_validation():
@@ -323,22 +323,11 @@ def test_gaussian_diagonal_is_one():
     assert g.values.max() <= 1.0
 
 
-def test_gram_matches_pairwise_eval():
-    pts = Stream(2).normal(12).reshape(4, 3)
-    for spec in (linear_kernel(), polynomial_kernel(3), gaussian_kernel(1.3)):
-        g = gram(spec, pts)
-        for i in range(4):
-            for j in range(4):
-                assert g.values[i, j] == pytest.approx(
-                    kernel_eval(spec, pts[i], pts[j]), abs=1e-12
-                )
-
-
 def test_table_kernel_indexing():
     t = table_kernel([[1.0, 0.2], [0.2, 1.0]])
-    assert kernel_eval(t, 0, 1) == 0.2
+    np.testing.assert_array_equal(cross_gram(t, [0], [1]), [[0.2]])
     with pytest.raises(IndexError):
-        kernel_eval(t, 0, 5)
+        cross_gram(t, [0], [5])
     sub = gram(t, [1, 0])
     np.testing.assert_array_equal(sub.values, [[1.0, 0.2], [0.2, 1.0]])
 
@@ -352,8 +341,6 @@ def test_table_kernel_rejects_bad_indices(bad):
         gram(t, [bad, 0])
     with pytest.raises(IndexError, match="integers in"):
         cross_gram(t, [0, 1], [bad])
-    with pytest.raises(IndexError, match="integers in"):
-        kernel_eval(t, bad, 0)
     with pytest.raises(IndexError, match="integers in"):
         kernel_approx.nystrom_fit(t, [bad], 1)
 
@@ -404,12 +391,10 @@ def test_cross_gram_matches_pairwise_definition(case):
 
 _KERNEL_CALLERS = {
     "gram": lambda kern, pts, model: gram(kern, pts),
-    "kernel_eval": lambda kern, pts, model: kernel_eval(kern, pts[0], pts[1]),
-    "KernelSpec.__call__": lambda kern, pts, model: kern(pts[0], pts[1]),
     "nystrom_features": lambda kern, pts, model: kernel_approx.nystrom_features(model, pts),
     "nystrom_gram_approx": lambda kern, pts, model: kernel_approx.nystrom_gram_approx(model, pts),
     "nystrom_eigenfunction": lambda kern, pts, model: kernel_approx.nystrom_eigenfunction(
-        model, 0, pts[0]
+        model, 0, pts
     ),
 }
 

@@ -14,6 +14,13 @@ edge list, depth-first components, heap Dijkstra and per-row ``lexsort``
 they replaced live on below too. Everything but the geodesics must match
 bit for bit; the geodesics sum the same edges in another order, so they
 match to rounding, with the same unreachable pairs.
+
+Every contrastive trainer runs on one core: `_fit_tables` packs the tables
+and makes the one `minimize` call, `_logistic_loss_grad` is the weighted
+logistic loss and `_shift` the activation offset. The per-trainer bodies
+and the two loss functions that each wrote those out for themselves live
+on below, and the library must agree with them bit for bit: the tables and
+each fit's path (x, trace, iterations, evaluations, stop reason).
 """
 
 import heapq
@@ -24,7 +31,31 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kernelcontrast.contrastive import CorpusStats, corpus_stats
+from kernelcontrast import contrastive
+from kernelcontrast.contrastive import (
+    CorpusStats,
+    ProbeTask,
+    _negative_distribution,
+    corpus_stats,
+    linear_probe_error,
+    nce_loss_grad,
+    pair_process,
+    sgns_loss_grad,
+    simclr_loss_grad,
+    spectral_loss_grad,
+    train_infonce,
+    train_nce,
+    train_sgns,
+    train_spectral,
+)
+from kernelcontrast.encoders import (
+    EmbeddingTable,
+    OptimizerConfig,
+    minimize,
+    sigmoid,
+    softmax,
+    softplus,
+)
 from kernelcontrast.kernels import FiniteSpace, _finish, _solver_input, jacobi_eigh
 from kernelcontrast.manifold import (
     build_graph,
@@ -33,6 +64,7 @@ from kernelcontrast.manifold import (
     pairwise_distances,
     shortest_paths,
 )
+from kernelcontrast.rng import Stream
 
 # ------------------------------------------------------------ corpus_stats
 
@@ -381,3 +413,254 @@ def test_lle_weights_match_lexsort_loop(kind, seed):
     x = _points(kind, seed)
     k = int(np.random.default_rng(seed).integers(1, 7))
     assert lle_weights(x, k).tobytes() == _loop_lle_weights(x, k).tobytes()
+
+
+# ------------------------------------------------------ contrastive trainers
+
+
+def _loop_nce_loss_grad(scores, labels, k):
+    if not k > 0.0:
+        raise ValueError(f"k must be positive, got {k!r}")
+    s = np.asarray(scores, dtype=float)
+    y = np.asarray(labels, dtype=float)
+    u = s - np.log(k)
+    per_sample = y * softplus(-u) + (1.0 - y) * softplus(u)
+    m = s.shape[0]
+    grad = (sigmoid(u) - y) / m
+    return float(per_sample.mean()), grad
+
+
+def _loop_sgns_loss_grad(phi_rows, psi_rows, stats, k, activation="sigmoid", neg_exponent=1.0):
+    if not k > 0.0:
+        raise ValueError(f"k must be positive, got {k!r}")
+    q = _negative_distribution(stats, neg_exponent)
+    w_pos = stats.counts
+    w_neg = k * np.outer(stats.counts.sum(axis=1), q)
+    z = phi_rows @ psi_rows.T
+    if activation == "k_sigmoid":
+        z = z - np.log(k)
+    elif activation != "sigmoid":
+        raise ValueError(f"unknown activation {activation!r}")
+    loss = float((w_pos * softplus(-z) + w_neg * softplus(z)).sum())
+    dz = (w_pos + w_neg) * sigmoid(z) - w_pos
+    return loss, dz @ psi_rows, dz.T @ phi_rows
+
+
+def _loop_train_nce(pos, neg, k, activation, cfg):
+    pos = np.asarray(pos, dtype=float)
+    neg = np.asarray(neg, dtype=float)
+    if activation == "k_sigmoid":
+        shift = np.log(k) if k > 0 else None
+        if shift is None:
+            raise ValueError(f"k must be positive, got {k!r}")
+    elif activation == "sigmoid":
+        shift = 0.0
+    else:
+        raise ValueError(f"unknown activation {activation!r}")
+    total = pos.sum() + neg.sum()
+
+    def objective(theta):
+        u = theta - shift
+        loss = (pos * softplus(-u) + neg * softplus(u)).sum() / total
+        grad = ((pos + neg) * sigmoid(u) - pos) / total
+        return loss, grad
+
+    theta0 = Stream(cfg.seed).uniform(pos.shape[0], -0.1, 0.1)
+    return minimize(objective, theta0, cfg)
+
+
+def _loop_train_sgns(stats, d, k, cfg, activation, neg_exponent):
+    n = stats.space.n
+    phi0 = EmbeddingTable.random(n, d, cfg.seed)
+    psi0 = EmbeddingTable.random(n, d, cfg.seed + 1)
+    split = n * d
+
+    def objective(flat):
+        phi_rows = flat[:split].reshape(n, d)
+        psi_rows = flat[split:].reshape(n, d)
+        loss, dphi, dpsi = _loop_sgns_loss_grad(
+            phi_rows, psi_rows, stats, k, activation, neg_exponent
+        )
+        return loss, np.concatenate((dphi.reshape(-1), dpsi.reshape(-1)))
+
+    fit = minimize(objective, np.concatenate((phi0.flat(), psi0.flat())), cfg)
+    return (
+        EmbeddingTable(fit.x[:split].reshape(n, d), fits=(fit,)),
+        EmbeddingTable(fit.x[split:].reshape(n, d), fits=(fit,)),
+    )
+
+
+def _loop_train_infonce(process, d, tau, b, cfg, mode):
+    n = process.n
+    if mode == "untied":
+        f0 = EmbeddingTable.random(n, d, cfg.seed)
+        g0 = EmbeddingTable.random(n, d, cfg.seed + 1)
+        split = n * d
+
+        def objective(flat):
+            f_rows = flat[:split].reshape(n, d)
+            g_rows = flat[split:].reshape(n, d)
+            s = f_rows @ g_rows.T / tau
+            loss, ds = simclr_loss_grad(s, process, b)
+            return loss, np.concatenate(
+                ((ds @ g_rows / tau).reshape(-1), (ds.T @ f_rows / tau).reshape(-1))
+            )
+
+        fit = minimize(objective, np.concatenate((f0.flat(), g0.flat())), cfg)
+        return (
+            EmbeddingTable(fit.x[:split].reshape(n, d), fits=(fit,)),
+            EmbeddingTable(fit.x[split:].reshape(n, d), fits=(fit,)),
+        )
+    phi0 = EmbeddingTable.random(n, d, cfg.seed)
+
+    def objective(flat):
+        rows = flat.reshape(n, d)
+        norms = np.linalg.norm(rows, axis=1)
+        if np.any(norms == 0.0):
+            raise ValueError("cosine score undefined: an embedding row is zero")
+        unit = rows / norms[:, None]
+        s = unit @ unit.T / tau
+        loss, ds = simclr_loss_grad(s, process, b)
+        du = (ds + ds.T) @ unit / tau
+        dr = (du - unit * (du * unit).sum(axis=1, keepdims=True)) / norms[:, None]
+        return loss, dr.reshape(-1)
+
+    fit = minimize(objective, phi0.flat(), cfg)
+    return (EmbeddingTable(fit.x.reshape(n, d), fits=(fit,)),)
+
+
+def _loop_train_spectral(process, d, cfg):
+    n = process.n
+    phi0 = EmbeddingTable.random(n, d, cfg.seed)
+
+    def objective(flat):
+        loss, grad = spectral_loss_grad(flat.reshape(n, d), process)
+        return loss, grad.reshape(-1)
+
+    fit = minimize(objective, phi0.flat(), cfg)
+    return (EmbeddingTable(fit.x.reshape(n, d), fits=(fit,)),)
+
+
+def _loop_linear_probe_error(phi, task, p, cfg):
+    """Returns the error and the fit the parent body discarded."""
+    p = np.asarray(p, dtype=float)
+    n, d = phi.rows.shape
+    c = task.n_classes
+    onehot = np.zeros((n, c))
+    onehot[np.arange(n), task.labels] = 1.0
+    w0 = Stream(cfg.seed).uniform(c * d, -0.1, 0.1)
+
+    def objective(flat):
+        w = flat.reshape(c, d)
+        logits = phi.rows @ w.T
+        probs = softmax(logits)
+        safe = np.maximum(probs[np.arange(n), task.labels], 1e-300)
+        loss = float(-(p * np.log(safe)).sum())
+        grad = ((probs - onehot) * p[:, None]).T @ phi.rows
+        return loss, grad.reshape(-1)
+
+    fit = minimize(objective, w0, cfg)
+    logits = phi.rows @ fit.x.reshape(c, d).T
+    predicted = np.argmax(logits, axis=1)
+    return float(p[predicted != task.labels].sum()), fit
+
+
+def _assert_same_fit(got, want):
+    for name in ("x", "trace"):
+        g, w = getattr(got, name), getattr(want, name)
+        assert g.shape == w.shape and g.tobytes() == w.tobytes(), name
+    for name in ("iterations", "evaluations", "grad_norm", "stop_reason"):
+        assert getattr(got, name) == getattr(want, name), name
+
+
+def _assert_same_tables(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.rows.shape == w.rows.shape and g.rows.tobytes() == w.rows.tobytes()
+        assert len(g.fits) == len(w.fits) == 1
+        _assert_same_fit(g.fits[0], w.fits[0])
+
+
+_CORPUS = corpus_stats("a a b a c a b b c b c c a c b d a d c".split(), window=2)
+
+
+def _process(n=5):
+    p = np.arange(1.0, n + 1.0)
+    augment = 0.5 * np.eye(n) + 0.5 / n + 0.1 * np.eye(n)[::-1]
+    augment /= augment.sum(axis=1, keepdims=True)
+    return pair_process(FiniteSpace(items=list("abcdefgh"[:n]), p=p / p.sum()), augment)
+
+
+def test_nce_loss_grad_matches_parent():
+    stream = Stream(21)
+    scores = stream.uniform(40, -4.0, 4.0)
+    labels = (stream.uniform(40) < 0.3).astype(float)
+    for k in (0.5, 1.0, 3.0):
+        loss, grad = nce_loss_grad(scores, labels, k)
+        want_loss, want_grad = _loop_nce_loss_grad(scores, labels, k)
+        assert loss == want_loss and grad.tobytes() == want_grad.tobytes(), k
+
+
+@pytest.mark.parametrize("neg_exponent", [1.0, 0.75])
+@pytest.mark.parametrize("activation", ["sigmoid", "k_sigmoid"])
+def test_sgns_loss_grad_matches_parent(activation, neg_exponent):
+    n = _CORPUS.space.n
+    stream = Stream(22)
+    phi = stream.uniform(n * 3, -2.0, 2.0).reshape(n, 3)
+    psi = stream.uniform(n * 3, -2.0, 2.0).reshape(n, 3)
+    got = sgns_loss_grad(phi, psi, _CORPUS, 3.0, activation, neg_exponent)
+    want = _loop_sgns_loss_grad(phi, psi, _CORPUS, 3.0, activation, neg_exponent)
+    assert got[0] == want[0]
+    for g, w in zip(got[1:], want[1:]):
+        assert g.tobytes() == w.tobytes()
+
+
+_CFG = OptimizerConfig(seed=5, tol=1e-9, max_iter=3000)
+
+
+@pytest.mark.parametrize("neg_exponent", [1.0, 0.75])
+@pytest.mark.parametrize("activation", ["sigmoid", "k_sigmoid"])
+def test_train_sgns_matches_parent(activation, neg_exponent):
+    args = (_CORPUS, 3, 2.0)
+    got = train_sgns(*args, config=_CFG, activation=activation, neg_exponent=neg_exponent)
+    _assert_same_tables(got, _loop_train_sgns(*args, _CFG, activation, neg_exponent))
+
+
+@pytest.mark.parametrize("activation", ["sigmoid", "k_sigmoid"])
+def test_train_nce_matches_parent(activation):
+    pos, neg = np.array([6.0, 2.0, 4.0, 1.0]), np.array([4.0, 12.0, 8.0, 3.0])
+    got = train_nce(pos, neg, 2.0, activation=activation, config=_CFG)
+    _assert_same_fit(got, _loop_train_nce(pos, neg, 2.0, activation, _CFG))
+
+
+@pytest.mark.parametrize("mode, b", [("untied", 2), ("untied", 3), ("tied", 2)])
+def test_train_infonce_matches_parent(mode, b):
+    process = _process(4)
+    cfg = OptimizerConfig(seed=5, tol=1e-8, max_iter=400)
+    got = train_infonce(process, 3, tau=0.7, b=b, config=cfg, mode=mode)
+    got = got if mode == "untied" else (got,)
+    _assert_same_tables(got, _loop_train_infonce(process, 3, 0.7, b, cfg, mode))
+
+
+@pytest.mark.parametrize("d", [1, 3])
+def test_train_spectral_matches_parent(d):
+    process = _process()
+    got = train_spectral(process, d, config=_CFG)
+    _assert_same_tables((got,), _loop_train_spectral(process, d, _CFG))
+
+
+def test_linear_probe_error_matches_parent(monkeypatch):
+    phi = EmbeddingTable(Stream(23).normal(12).reshape(6, 2))
+    task = ProbeTask(labels=[0, 1, 2, 0, 1, 2], n_classes=3)
+    p = np.arange(1.0, 7.0) / 21.0
+    fits = []
+
+    def recording(*args):
+        fits.append(minimize(*args))
+        return fits[-1]
+
+    monkeypatch.setattr(contrastive, "minimize", recording)
+    got = linear_probe_error(phi, task, p, config=_CFG)
+    want, want_fit = _loop_linear_probe_error(phi, task, p, _CFG)
+    assert got == want and len(fits) == 1
+    _assert_same_fit(fits[0], want_fit)
