@@ -16,7 +16,7 @@ from kernelcontrast.rng import Stream
 
 # --- recovery on a line kernel ---
 pts = np.sort(Stream(0).uniform(8, 0.0, 4.0)).reshape(8, 1)
-k = gram(gaussian_kernel(1.0), pts).values
+k = gram(gaussian_kernel(1.0), pts)
 p = np.full(8, 0.125)
 
 lam, psi = mercer_decompose(k, p)

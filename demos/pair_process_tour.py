@@ -45,7 +45,7 @@ f, g = train_infonce(
 )
 scores = bilinear_scores(f, g, 1.0)
 tv = infonce_tv_gap(scores, proc, 2)
-gap = np.abs(row_normalized(np.exp(scores)) - row_normalized(proc.k_plus.values)).max()
+gap = np.abs(row_normalized(np.exp(scores)) - row_normalized(proc.k_plus)).max()
 print(f"worst conditional TV after training: {tv:.2e}")
 print(f"normalized exp-scores vs pair odds:  {gap:.2e}")
 
@@ -53,7 +53,7 @@ print()
 print("-- spectral factorization --")
 phi = train_spectral(proc, 2, config=OptimizerConfig(tol=1e-10, max_iter=40000))
 trained = np.sqrt(proc.marginal)[:, None] * phi.rows
-direct = low_rank_factor(proc.abar.values, 2)
+direct = low_rank_factor(proc.abar, 2)
 print(f"trained Gram vs rank-2 truncation:   "
       f"{np.linalg.norm(trained @ trained.T - direct @ direct.T):.2e}")
 

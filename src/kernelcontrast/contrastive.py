@@ -38,7 +38,7 @@ from .encoders import (
     softmax,
     softplus,
 )
-from .kernels import FiniteSpace, SymMatrix, symmetrize
+from .kernels import FiniteSpace, as_sym_array, symmetrize
 from .rng import Stream
 
 __all__ = [
@@ -367,7 +367,7 @@ class PairProcess:
     is symmetric and its marginal is the view distribution A^T p, stored
     as ``marginal``. When the augmentation preserves the source
     distribution (every process used in the exactness tests does), the
-    marginal equals p and ``marginal_shifted`` is False.
+    marginal equals p.
 
     ``k_plus`` holds p_plus(a,b) / (marginal(a) marginal(b)), the odds a
     pair is positive relative to independence; ``abar`` is the
@@ -379,9 +379,8 @@ class PairProcess:
     augment: np.ndarray
     p_plus: np.ndarray
     marginal: np.ndarray
-    k_plus: SymMatrix
-    abar: SymMatrix
-    marginal_shifted: bool
+    k_plus: np.ndarray
+    abar: np.ndarray
 
     @property
     def n(self) -> int:
@@ -412,9 +411,8 @@ def pair_process(space: FiniteSpace, augment) -> PairProcess:
             f"item {space.items[dead[0]]!r} is never produced by the augmentation"
         )
     root = np.sqrt(marginal)
-    k_plus = SymMatrix(symmetrize(p_plus / np.outer(marginal, marginal)))
-    abar = SymMatrix(symmetrize(p_plus / np.outer(root, root)))
-    shifted = bool(np.abs(marginal - space.p).max() > 1e-12)
+    k_plus = as_sym_array(symmetrize(p_plus / np.outer(marginal, marginal)))
+    abar = as_sym_array(symmetrize(p_plus / np.outer(root, root)))
     return PairProcess(
         space=space,
         augment=a,
@@ -422,7 +420,6 @@ def pair_process(space: FiniteSpace, augment) -> PairProcess:
         marginal=marginal,
         k_plus=k_plus,
         abar=abar,
-        marginal_shifted=shifted,
     )
 
 
@@ -592,17 +589,20 @@ def simclr_loss_mc(
     return mean, stderr
 
 
-def bilinear_scores(f: EmbeddingTable, g: EmbeddingTable, tau: float) -> np.ndarray:
-    """Untied score table s(x, z) = f(x) . g(z) / tau."""
+def _check_tau(tau: float) -> None:
     if not tau > 0.0:
         raise ValueError(f"temperature must be positive, got {tau!r}")
+
+
+def bilinear_scores(f: EmbeddingTable, g: EmbeddingTable, tau: float) -> np.ndarray:
+    """Untied score table s(x, z) = f(x) . g(z) / tau."""
+    _check_tau(tau)
     return f.rows @ g.rows.T / tau
 
 
 def cosine_scores(phi: EmbeddingTable, tau: float) -> np.ndarray:
     """Tied score table s(x, z) = cos(phi(x), phi(z)) / tau."""
-    if not tau > 0.0:
-        raise ValueError(f"temperature must be positive, got {tau!r}")
+    _check_tau(tau)
     norms = np.linalg.norm(phi.rows, axis=1)
     if np.any(norms == 0.0):
         raise ValueError("cosine score undefined: an embedding row is zero")
@@ -635,7 +635,7 @@ def infonce_tv_gap(scores: np.ndarray, process: PairProcess, b: int) -> float:
     n = process.n
     _, _, rows = _multisets(n, 2 * b - 1)
     model = softmax(s[:, rows])  # (anchor, multiset, candidate)
-    truth = process.k_plus.values[:, rows]
+    truth = process.k_plus[:, rows]
     denom = truth.sum(axis=2, keepdims=True)
     live = denom[:, :, 0] > 0.0
     tv = 0.5 * np.abs(model[live] - truth[live] / denom[live]).sum(axis=1)
@@ -661,6 +661,9 @@ def train_infonce(
     (f, g) in untied mode, a single table in tied mode.
     """
     n = process.n
+    if d < 1:
+        raise ValueError(f"d must be positive, got {d}")
+    _check_tau(tau)
     cfg = config or OptimizerConfig(tol=1e-8, max_iter=20000)
     if mode == "untied":
 

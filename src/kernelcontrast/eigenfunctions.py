@@ -136,8 +136,9 @@ def _make_stage(m: np.ndarray, d_weights: np.ndarray, prev: np.ndarray, quad: np
     return objective
 
 
-def _train_stages(k: np.ndarray, w: np.ndarray, d: int, fit_stage) -> EigenfunctionSet:
-    """The sequential stage loop both trainers share.
+def _train_stages(k: np.ndarray, p, d: int, fit_stage) -> EigenfunctionSet:
+    """The sequential stage loop both trainers share, after checking that
+    the weights ``p`` are strictly positive, one per item of the space.
 
     ``fit_stage(j, objective)`` minimizes stage j's objective over the
     function values on the space and returns (values, OptimizeResult).
@@ -146,6 +147,11 @@ def _train_stages(k: np.ndarray, w: np.ndarray, d: int, fit_stage) -> Eigenfunct
     stage objective or estimate depends on the signs of earlier functions.
     """
     n = k.shape[0]
+    w = np.asarray(p, dtype=float)
+    if w.shape != (n,):
+        raise ValueError(f"weights shape {w.shape} does not match kernel n={n}")
+    if np.any(w <= 0.0):
+        raise ValueError("weights must be strictly positive")
     if not 1 <= d <= n:
         raise ValueError(f"d must be in [1, {n}], got {d}")
     m = (w[:, None] * k) * w[None, :]
@@ -179,12 +185,7 @@ def train_eigenfunctions(
     positive.
     """
     k = as_sym_array(kernel_table)
-    w = np.asarray(p, dtype=float)
     n = k.shape[0]
-    if w.shape != (n,):
-        raise ValueError(f"weights shape {w.shape} does not match kernel n={n}")
-    if np.any(w <= 0.0):
-        raise ValueError("weights must be strictly positive")
     cfg = config or OptimizerConfig(tol=1e-10, max_iter=20000)
     stream = Stream(cfg.seed)
 
@@ -192,7 +193,7 @@ def train_eigenfunctions(
         fit = minimize(objective, stream.uniform(n, -1.0, 1.0), cfg)
         return fit.x, fit
 
-    return _train_stages(k, w, d, fit_stage)
+    return _train_stages(k, p, d, fit_stage)
 
 
 def mlp_eigenfunctions(
@@ -214,9 +215,6 @@ def mlp_eigenfunctions(
     from .kernels import gram
 
     pts = np.asarray(points, dtype=float)
-    w = np.asarray(p, dtype=float)
-    if w.shape != (pts.shape[0],):
-        raise ValueError("weights must match the number of points")
     cfg = config or OptimizerConfig(tol=1e-8, max_iter=4000)
 
     def fit_stage(j, stage):
@@ -232,4 +230,4 @@ def mlp_eigenfunctions(
         net.set_flat(fit.x)
         return net.forward_batch(pts)[0][:, 0], fit
 
-    return _train_stages(gram(kernel, pts).values, w, d, fit_stage)
+    return _train_stages(gram(kernel, pts), p, d, fit_stage)

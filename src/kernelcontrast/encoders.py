@@ -38,6 +38,13 @@ INIT_SCALE = 0.1
 STALL_WINDOW = 20
 STALL_ULPS = 4
 
+# The line search of `minimize`: its first trial step, its Armijo
+# sufficient-decrease constant, and the smallest step it tries before
+# raising DivergenceError.
+STEP_SIZE = 1.0
+ARMIJO_C = 1e-4
+MIN_STEP = 1e-18
+
 
 class DivergenceError(RuntimeError):
     """Raised when the line search cannot find any descent step."""
@@ -226,12 +233,9 @@ def grad_check(fun, params: np.ndarray, epsilon: float = 1e-5) -> float:
 class OptimizerConfig:
     """Settings for `minimize`; defaults suit the package's small problems."""
 
-    step_size: float = 1.0
     max_iter: int = 2000
     tol: float = 1e-10
     seed: int = 0
-    armijo_c: float = 1e-4
-    min_step: float = 1e-18
 
 
 def minimize(fun, x0: np.ndarray, config: OptimizerConfig | None = None) -> OptimizeResult:
@@ -241,7 +245,7 @@ def minimize(fun, x0: np.ndarray, config: OptimizerConfig | None = None) -> Opti
     test passes, then doubles the accepted step for the next iteration so
     the search adapts in both directions. The returned trace of accepted
     losses is monotone nonincreasing by construction. Raises
-    DivergenceError if no step down to ``min_step`` decreases the loss.
+    DivergenceError if no step down to MIN_STEP decreases the loss.
 
     The run stops for one of three reasons, recorded as ``stop_reason``:
 
@@ -271,7 +275,7 @@ def minimize(fun, x0: np.ndarray, config: OptimizerConfig | None = None) -> Opti
     if not np.isfinite(loss):
         raise ValueError(f"initial loss is not finite: {loss!r}")
     trace = [float(loss)]
-    step = cfg.step_size
+    step = STEP_SIZE
     gnorm2 = float(np.dot(grad, grad))
     best_x, best_gnorm2 = x, gnorm2
     flat_steps = 0
@@ -285,17 +289,17 @@ def minimize(fun, x0: np.ndarray, config: OptimizerConfig | None = None) -> Opti
         if len(trace) - 1 >= cfg.max_iter:
             stop_reason = "max_iter"
             break
-        while step >= cfg.min_step:
+        while step >= MIN_STEP:
             candidate = x - step * grad
             cand_loss, cand_grad = fun(candidate)
             evaluations += 1
-            if np.isfinite(cand_loss) and cand_loss <= loss - cfg.armijo_c * step * gnorm2:
+            if np.isfinite(cand_loss) and cand_loss <= loss - ARMIJO_C * step * gnorm2:
                 break
             step *= 0.5
         else:
             raise DivergenceError(
                 f"line search failed at loss {loss!r}: no step above "
-                f"{cfg.min_step:g} decreases it"
+                f"{MIN_STEP:g} decreases it"
             )
         flat = loss - cand_loss <= STALL_ULPS * np.spacing(abs(loss))
         x, loss, grad = candidate, cand_loss, cand_grad

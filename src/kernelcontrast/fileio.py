@@ -16,7 +16,7 @@ import os
 import numpy as np
 
 from .contrastive import PairProcess, pair_process
-from .kernels import FiniteSpace, SymMatrix
+from .kernels import FiniteSpace, as_sym_array
 
 __all__ = [
     "save_matrix_csv",
@@ -82,11 +82,11 @@ def load_matrix_csv(path: str) -> np.ndarray:
 
 def save_sym_csv(path: str, matrix) -> None:
     """Write a symmetric matrix with its `# symmetric n=<n>` marker."""
-    sym = matrix if isinstance(matrix, SymMatrix) else SymMatrix(matrix)
-    save_matrix_csv(path, sym.values, comments=[f"symmetric n={sym.n}"])
+    sym = as_sym_array(matrix)
+    save_matrix_csv(path, sym, comments=[f"symmetric n={sym.shape[0]}"])
 
 
-def load_sym_csv(path: str) -> SymMatrix:
+def load_sym_csv(path: str) -> np.ndarray:
     """Read a symmetric matrix CSV, honoring the size marker if present."""
     declared = None
     with open(path) as fh:
@@ -104,7 +104,7 @@ def load_sym_csv(path: str) -> SymMatrix:
             f"{path}: marker declares n={declared} but data is {values.shape}"
         )
     try:
-        return SymMatrix(values)
+        return as_sym_array(values)
     except ValueError as exc:
         raise ParseError(f"{path}: {exc}") from None
 

@@ -70,7 +70,7 @@ def nystrom_fit(kernel: KernelSpec, landmarks, d: int) -> NystromModel:
         raise ValueError(f"rank d must be in [1, {m}], got {d}")
     g = gram(kernel, landmarks)
     eig = eigh(g)
-    require_psd(eig.eigenvalues, psd_tolerance(g.values), "landmark Gram")
+    require_psd(eig.eigenvalues, psd_tolerance(g), "landmark Gram")
     return NystromModel(
         kernel=kernel,
         landmarks=landmarks,
@@ -126,8 +126,6 @@ class RffModel:
     """Frequencies for the Gaussian kernel's random Fourier features."""
 
     frequencies: np.ndarray
-    sigma2: float
-    seed: int
 
     @property
     def n_features(self) -> int:
@@ -146,7 +144,7 @@ def rff_sample(sigma2: float, d: int, n0: int, seed: int) -> RffModel:
     if d < 1 or n0 < 1:
         raise ValueError(f"need d >= 1 and n0 >= 1, got d={d}, n0={n0}")
     draws = Stream(seed).normal(d * n0) / np.sqrt(sigma2)
-    return RffModel(frequencies=draws.reshape(d, n0), sigma2=float(sigma2), seed=seed)
+    return RffModel(frequencies=draws.reshape(d, n0))
 
 
 def rff_features(model: RffModel, x) -> np.ndarray:

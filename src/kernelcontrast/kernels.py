@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "SymMatrix",
+    "as_sym_array",
     "EigenDecomposition",
     "FiniteSpace",
     "KernelSpec",
@@ -46,59 +46,34 @@ def symmetrize(a: np.ndarray) -> np.ndarray:
 SYM_TOL = 1e-9
 
 
-class SymMatrix:
-    """A dense symmetric matrix with symmetry enforced at construction.
-
-    The constructor rejects inputs whose asymmetry exceeds ``SYM_TOL``
-    relative to the largest entry, then mirrors the upper triangle so
-    `values` is symmetric to the bit. Downstream code can rely on
-    ``m.values[i, j] == m.values[j, i]`` exactly.
-    """
-
-    def __init__(self, values: np.ndarray):
-        a = np.asarray(values, dtype=float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError(f"expected a square matrix, got shape {a.shape}")
-        finite = np.isfinite(a)
-        if not finite.all():
-            # Non-finite entries (e.g. unreachable geodesics) are allowed
-            # only when they are placed symmetrically.
-            bad = a[finite != finite.T]
-            if bad.size:
-                raise ValueError("non-finite entries placed asymmetrically")
-            asym = np.abs(a[finite] - a.T[finite]).max() if finite.any() else 0.0
-        else:
-            asym = np.abs(a - a.T).max()
-        scale = np.abs(a[finite]).max() if finite.any() else 0.0
-        if asym > SYM_TOL * max(1.0, scale):
-            raise ValueError(
-                f"matrix is not symmetric: max asymmetry {asym:.3e} "
-                f"exceeds {SYM_TOL:.1e} * max(1, {scale:.3e})"
-            )
-        upper = np.triu(a)
-        self.values = upper + np.triu(a, 1).T
-        self.n = a.shape[0]
-
-    @classmethod
-    def from_exact(cls, values: np.ndarray) -> "SymMatrix":
-        """Wrap a matrix already symmetric to the bit, skipping the check."""
-        obj = cls.__new__(cls)
-        a = np.asarray(values, dtype=float)
-        if not np.array_equal(a, a.T):
-            raise ValueError("from_exact requires bitwise symmetry")
-        obj.values = a.copy()
-        obj.n = a.shape[0]
-        return obj
-
-    def __repr__(self) -> str:
-        return f"SymMatrix(n={self.n})"
-
-
 def as_sym_array(m) -> np.ndarray:
-    """Accept SymMatrix or array-like; return an exactly symmetric ndarray."""
-    if isinstance(m, SymMatrix):
-        return m.values
-    return SymMatrix(np.asarray(m, dtype=float)).values
+    """The package's one symmetric-matrix gate: return a square array-like
+    as an ndarray symmetric to the bit.
+
+    Rejects inputs whose asymmetry exceeds ``SYM_TOL`` relative to the
+    largest finite entry, then mirrors the upper triangle, so callers can
+    rely on ``a[i, j] == a[j, i]`` exactly.
+    """
+    a = np.asarray(m, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    finite = np.isfinite(a)
+    if not finite.all():
+        # Non-finite entries (e.g. unreachable geodesics) are allowed
+        # only when they are placed symmetrically.
+        bad = a[finite != finite.T]
+        if bad.size:
+            raise ValueError("non-finite entries placed asymmetrically")
+        asym = np.abs(a[finite] - a.T[finite]).max() if finite.any() else 0.0
+    else:
+        asym = np.abs(a - a.T).max()
+    scale = np.abs(a[finite]).max() if finite.any() else 0.0
+    if asym > SYM_TOL * max(1.0, scale):
+        raise ValueError(
+            f"matrix is not symmetric: max asymmetry {asym:.3e} "
+            f"exceeds {SYM_TOL:.1e} * max(1, {scale:.3e})"
+        )
+    return np.triu(a) + np.triu(a, 1).T
 
 
 @dataclass
@@ -183,7 +158,7 @@ def jacobi_eigh(matrix, tol: float = 1e-12, max_sweeps: int = 60) -> EigenDecomp
 
     Parameters
     ----------
-    matrix : SymMatrix or array-like
+    matrix : array-like
         Symmetric square matrix.
     tol : float
         Relative off-diagonal convergence threshold.
@@ -372,9 +347,9 @@ def cross_gram(kernel: KernelSpec, xs, zs) -> np.ndarray:
     raise ValueError(f"unknown kernel kind {kernel.kind!r}")
 
 
-def gram(kernel: KernelSpec, points) -> SymMatrix:
+def gram(kernel: KernelSpec, points) -> np.ndarray:
     """Gram matrix of a kernel on a point list, exactly symmetric."""
-    return SymMatrix(symmetrize(cross_gram(kernel, points, points)))
+    return as_sym_array(symmetrize(cross_gram(kernel, points, points)))
 
 
 def psd_tolerance(matrix) -> float:

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import (
-    SymMatrix,
     as_sym_array,
     eigh,
     jacobi_eigh,
@@ -106,7 +105,7 @@ def pca_transform(model: PcaModel, x: np.ndarray) -> np.ndarray:
     return out[0] if single else out
 
 
-def double_center(squared_distances) -> SymMatrix:
+def double_center(squared_distances) -> np.ndarray:
     """Gram matrix of centered points from their squared distances.
 
     Subtracts row means, column means, and adds back the grand mean, then
@@ -121,7 +120,7 @@ def double_center(squared_distances) -> SymMatrix:
     row = s.mean(axis=1, keepdims=True)
     grand = s.mean()
     g = -0.5 * (s - row - row.T + grand)
-    return SymMatrix(symmetrize(g))
+    return as_sym_array(symmetrize(g))
 
 
 def mds_embed(distances, d: int) -> MdsResult:
@@ -135,7 +134,7 @@ def mds_embed(distances, d: int) -> MdsResult:
     n = dist.shape[0]
     if not 1 <= d <= n:
         raise ValueError(f"d must be in [1, {n}], got {d}")
-    g = double_center(SymMatrix.from_exact(dist * dist.T)).values
+    g = double_center(dist * dist.T)
     eig = eigh(g)
     clamped = int((eig.eigenvalues < 0.0).sum())
     positive = int((eig.eigenvalues > 0.0).sum())

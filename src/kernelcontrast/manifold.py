@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import SymMatrix, eigh, symmetrize
+from .kernels import eigh, symmetrize
 from .linear_dr import mds_embed
 from .rng import Stream
 
@@ -156,7 +156,7 @@ def build_graph(
     return NeighborGraph(adjacency, weights, _components(adjacency))
 
 
-def shortest_paths(g: NeighborGraph) -> SymMatrix:
+def shortest_paths(g: NeighborGraph) -> np.ndarray:
     """All-pairs graph geodesics by Floyd-Warshall, one pivot per step.
 
     Unreachable pairs get +inf. Each step updates (i, j) and (j, i) from
@@ -167,7 +167,7 @@ def shortest_paths(g: NeighborGraph) -> SymMatrix:
     np.fill_diagonal(geo, 0.0)
     for k in range(g.n):
         np.minimum(geo, geo[:, k, None] + geo[k], out=geo)
-    return SymMatrix.from_exact(geo)
+    return geo
 
 
 @dataclass

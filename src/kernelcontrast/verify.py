@@ -152,7 +152,7 @@ def _suite_spectral_ey(seed: int) -> dict:
     """Spectral loss is the factorization error up to a constant; training
     recovers the best rank-d factor of the normalized pair matrix."""
     process = _eight_item_process()
-    abar = process.abar.values
+    abar = process.abar
     n = process.n
     stream = Stream(seed)
     diffs = []
@@ -194,7 +194,7 @@ def _suite_infonce_kplus(seed: int) -> dict:
     scores = bilinear_scores(f, g, tau=1.0)
     tv = infonce_tv_gap(scores, process, b=2)
     model_cond = row_normalized(np.exp(scores))
-    true_cond = row_normalized(process.k_plus.values)
+    true_cond = row_normalized(process.k_plus)
     checks = [
         _check("worst-case conditional TV gap", tv, 1e-2),
         _check(
@@ -241,7 +241,7 @@ def _suite_nystrom(seed: int) -> dict:
             idx = sample_landmarks(n, m, seed + 100 + trial)
             sub = nystrom_fit(kernel, idx.tolist(), d=m)
             approx = nystrom_gram_approx(sub, list(range(n)))
-            errs.append(float(np.abs(approx - table.values).max()))
+            errs.append(float(np.abs(approx - table).max()))
         medians.append(float(np.median(errs)))
     regression = max(0.0, max(b - a for a, b in zip(medians, medians[1:])))
 
@@ -292,7 +292,7 @@ def _suite_manifold(seed: int) -> dict:
     theta = np.linspace(0.0, np.pi, 200)
     circle = np.column_stack((np.cos(theta), np.sin(theta)))
     g = build_graph(circle, eps=0.15)
-    geo = shortest_paths(g).values
+    geo = shortest_paths(g)
     arc = np.abs(theta[:, None] - theta[None, :])
     mask = ~np.eye(200, dtype=bool)
     geo_rel = float((np.abs(geo - arc)[mask] / arc[mask]).max())

@@ -152,7 +152,7 @@ def test_criterion_02_spectral_loss_identity_and_factorization():
     """
     p = np.arange(2.0, 10.0)
     proc = _process(8, p / p.sum(), stay=0.7)
-    abar = proc.abar.values
+    abar = proc.abar
     root = np.sqrt(proc.marginal)
     with criterion(2, "spectral loss equals factorization gap") as info:
         t0 = time.monotonic()
@@ -203,7 +203,7 @@ def test_criterion_03_infonce_reaches_pair_kernel_conditionals():
         tv = infonce_tv_gap(scores, proc, 2)
         norm_gap = float(
             np.abs(
-                row_normalized(np.exp(scores)) - row_normalized(proc.k_plus.values)
+                row_normalized(np.exp(scores)) - row_normalized(proc.k_plus)
             ).max()
         )
         elapsed = time.monotonic() - t0
@@ -334,7 +334,7 @@ def test_criterion_07_manifold_suite():
         t0 = time.monotonic()
         theta = np.linspace(0.0, np.pi, 200)
         pts = np.column_stack((np.cos(theta), np.sin(theta)))
-        geo = shortest_paths(build_graph(pts, eps=0.15)).values
+        geo = shortest_paths(build_graph(pts, eps=0.15))
         arc = np.abs(theta[:, None] - theta[None, :])
         off = arc > 0.0
         geo_rel = float((np.abs(geo - arc)[off] / arc[off]).max())
@@ -388,7 +388,7 @@ def test_criterion_08_pca_optimality_and_mds_roundtrip():
 
         dist = pairwise_distances(data)
         res = mds_embed(dist, 5)
-        g = double_center(dist * dist).values
+        g = double_center(dist * dist)
         gram_gap = float(np.abs(res.embeddings @ res.embeddings.T - g).max())
         rebuilt = pairwise_distances(res.embeddings)
         off = ~np.eye(50, dtype=bool)
@@ -405,7 +405,7 @@ def test_criterion_08_pca_optimality_and_mds_roundtrip():
 
 def _line_gram(n, seed=0):
     pts = np.sort(Stream(seed).uniform(n, 0.0, 4.0)).reshape(n, 1)
-    return gram(gaussian_kernel(1.0), pts).values
+    return gram(gaussian_kernel(1.0), pts)
 
 
 def test_criterion_09_eigenfunction_recovery_under_a_gap():

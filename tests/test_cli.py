@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from kernelcontrast import contrastive, encoders
 from kernelcontrast.cli import main
 from kernelcontrast.fileio import load_matrix_csv, save_matrix_csv, save_sym_csv
 from kernelcontrast.manifest import load_manifest
@@ -290,6 +291,29 @@ def test_contrast_infonce_with_process(tmp_path):
     assert os.path.exists(str(tmp_path / "f.context.csv"))
 
 
+@pytest.mark.parametrize("flag", [["--dim", "0"], ["--tau", "0"], ["--tau", "-1"]],
+                         ids=["dim-0", "tau-0", "tau-negative"])
+def test_contrast_infonce_rejects_bad_dim_or_tau_before_training(tmp_path, capsys,
+                                                                 monkeypatch, flag):
+    """A zero dimension or a nonpositive temperature exits 1 in one line,
+    before any loss is evaluated: no file, no NumPy warning."""
+    proc = _write_process(
+        tmp_path / "p.json", items=list("abcd"), p=[0.4, 0.3, 0.2, 0.1],
+        augment=(0.6 * np.eye(4) + 0.1).tolist(),
+    )
+    calls = []
+    monkeypatch.setattr(contrastive, "simclr_loss_grad", lambda *a: calls.append(a))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["contrast", "infonce", "--process", proc, *flag,
+                     "--output", str(tmp_path / "o.csv")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("kc: error:") and err.count("\n") == 1
+    assert not caught and not calls
+    assert os.listdir(tmp_path) == ["p.json"]
+
+
 def test_contrast_spectral_factor_gap(tmp_path):
     proc = _write_process(tmp_path / "p.json", **TWO_STATE)
     out = str(tmp_path / "s.csv")
@@ -363,13 +387,12 @@ def test_bad_optimizer_config_value_is_usage_error(tmp_path, capsys):
     assert "usage error" in err and "max_iter" in err
 
 
-def test_divergence_is_error_1(tmp_path, capsys):
-    """A line search that cannot start (min_step above step_size) raises
+def test_divergence_is_error_1(tmp_path, capsys, monkeypatch):
+    """A line search that cannot start (MIN_STEP above STEP_SIZE) raises
     DivergenceError; the CLI reports it in one line instead of a traceback."""
     proc = _write_process(tmp_path / "p.json", **TWO_STATE)
-    cfg = tmp_path / "kc.ini"
-    cfg.write_text("[optimizer]\nmin_step = 2.0\n")
-    code = main(["--config", str(cfg), "contrast", "spectral", "--process", proc,
+    monkeypatch.setattr(encoders, "MIN_STEP", 2.0)
+    code = main(["contrast", "spectral", "--process", proc,
                  "--output", str(tmp_path / "o.csv")])
     assert code == 1
     err = capsys.readouterr().err
@@ -600,6 +623,7 @@ def test_unknown_config_keys_are_usage_errors(tmp_path, capsys):
     sgns = ["--config", str(cfg), "contrast", "sgns", "--corpus", str(corpus),
             "--output", str(tmp_path / "o.csv")]
     for text, key in (("[optimizer]\nmaxiter = 50\n", "maxiter"),
+                      ("[optimizer]\nmin_step = 1e-9\n", "min_step"),
                       ("[contrast]\nwindows = 2\n", "windows")):
         cfg.write_text(text)
         assert main(sgns) == 2

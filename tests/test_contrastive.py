@@ -252,19 +252,20 @@ def test_pair_process_identities():
     assert proc.p_plus.sum() == pytest.approx(1.0)
     np.testing.assert_allclose(proc.p_plus.sum(axis=1), proc.marginal, atol=1e-12)
     # both derived tables are PSD by construction
-    assert is_psd(proc.k_plus.values)
-    assert is_psd(proc.abar.values)
+    assert is_psd(proc.k_plus)
+    assert is_psd(proc.abar)
 
 
 def test_pair_process_marginal_shift_flag():
     n = 3
     space = FiniteSpace(["a", "b", "c"], np.full(n, 1.0 / n))
     doubly = np.full((n, n), 0.2) + 0.4 * np.eye(n)
-    assert not pair_process(space, doubly).marginal_shifted
+    np.testing.assert_allclose(pair_process(space, doubly).marginal, space.p,
+                               rtol=0, atol=1e-12)
     skewed = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
     skewed = 0.5 * skewed + 0.5 / 3.0
     proc = pair_process(space, skewed)
-    assert proc.marginal_shifted
+    assert np.abs(proc.marginal - space.p).max() > 1e-12
 
 
 @st.composite
@@ -406,7 +407,7 @@ def test_tv_gap_zero_at_the_known_optimum():
     must also vanish for shifted scores.
     """
     proc = _toy_process(n=3, stay=0.5)
-    s = np.log(proc.k_plus.values)
+    s = np.log(proc.k_plus)
     assert infonce_tv_gap(s, proc, b=2) < 1e-12
     shifted = s + np.array([[1.0], [-2.0], [0.3]])
     assert infonce_tv_gap(shifted, proc, b=2) < 1e-12
@@ -420,7 +421,7 @@ def test_train_infonce_untied_matches_conditional():
     s = bilinear_scores(f, g, tau=1.0)
     assert infonce_tv_gap(s, proc, b=2) < 1e-2
     model_cond = row_normalized(np.exp(s))
-    true_cond = row_normalized(proc.k_plus.values)
+    true_cond = row_normalized(proc.k_plus)
     assert np.abs(model_cond - true_cond).max() < 1e-2
 
 
@@ -439,7 +440,7 @@ def test_train_infonce_tied_mode_runs():
 def test_spectral_loss_is_frobenius_error_in_disguise():
     """loss(phi) + |Abar|_F^2 = |Abar - F F'|_F^2 with F = sqrt(marg) phi."""
     proc = _toy_process(n=4, stay=0.6)
-    abar = proc.abar.values
+    abar = proc.abar
     for seed in range(5):
         rows = Stream(seed).normal(8).reshape(4, 2)
         loss, _ = spectral_loss_grad(rows, proc)
@@ -469,7 +470,7 @@ def test_train_spectral_finds_eckart_young_factor():
     for d in (1, 4):
         phi = train_spectral(proc, d=d, config=cfg)
         f = np.sqrt(proc.marginal)[:, None] * phi.rows
-        best = low_rank_factor(proc.abar.values, d)
+        best = low_rank_factor(proc.abar, d)
         assert np.abs(f @ f.T - best @ best.T).max() < 1e-4
 
 

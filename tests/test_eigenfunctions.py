@@ -14,7 +14,7 @@ from kernelcontrast.rng import Stream
 def _line_kernel(n=8, seed=0, sigma2=1.0):
     """Gaussian Gram on sorted points, a well-separated test spectrum."""
     pts = np.sort(Stream(seed).uniform(n, 0.0, 4.0)).reshape(n, 1)
-    return gram(gaussian_kernel(sigma2), pts).values, pts
+    return gram(gaussian_kernel(sigma2), pts), pts
 
 
 # ------------------------------------------------------ the Mercer oracle
@@ -174,6 +174,26 @@ def test_train_validation():
         train_eigenfunctions(k, np.array([0.5, 0.5, 0.0]), d=1)
     with pytest.raises(ValueError):
         train_eigenfunctions(k, np.full(3, 1.0 / 3.0), d=4)
+
+
+def _train_table(k, pts, p):
+    return train_eigenfunctions(k, p, d=1, config=OptimizerConfig(max_iter=50))
+
+
+def _train_mlp(k, pts, p):
+    return mlp_eigenfunctions(gaussian_kernel(1.0), pts, p, d=1,
+                              config=OptimizerConfig(max_iter=50))
+
+
+@pytest.mark.parametrize("trainer", [_train_table, _train_mlp], ids=["table", "mlp"])
+@pytest.mark.parametrize("bad", [0.0, -0.125], ids=["zero", "negative"])
+def test_both_trainers_reject_nonpositive_weights(trainer, bad):
+    """Both trainers share one weight check, made before any training."""
+    k, pts = _line_kernel(8, seed=1)
+    p = np.full(8, 0.125)
+    p[3] = bad
+    with pytest.raises(ValueError, match="strictly positive"):
+        trainer(k, pts, p)
 
 
 def test_two_block_kernel_separates_classes():

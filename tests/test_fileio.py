@@ -106,7 +106,7 @@ def test_sym_csv_roundtrip_and_marker(tmp_path):
     first = open(path).readline().strip()
     assert first == "# symmetric n=3"
     back = load_sym_csv(path)
-    np.testing.assert_array_equal(back.values, (g + g.T) / 2.0)
+    np.testing.assert_array_equal(back, (g + g.T) / 2.0)
 
 
 def test_sym_csv_marker_mismatch(tmp_path):
@@ -126,7 +126,7 @@ def test_sym_csv_rejects_asymmetric_data(tmp_path):
 def test_sym_csv_without_marker_still_loads(tmp_path):
     path = tmp_path / "s.csv"
     path.write_text("2.0,1.0\n1.0,2.0\n")
-    assert load_sym_csv(str(path)).n == 2
+    assert load_sym_csv(str(path)).shape == (2, 2)
 
 
 def test_load_corpus(tmp_path):

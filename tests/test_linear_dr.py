@@ -94,14 +94,14 @@ def test_pca_input_validation():
 def test_double_center_hand_example():
     # two points at 0 and 1 on a line; centered Gram is +/- 0.25
     g = double_center([[0.0, 1.0], [1.0, 0.0]])
-    np.testing.assert_allclose(g.values, [[0.25, -0.25], [-0.25, 0.25]], atol=1e-15)
+    np.testing.assert_allclose(g, [[0.25, -0.25], [-0.25, 0.25]], atol=1e-15)
 
 
 def test_double_center_recovers_centered_gram():
     x = Stream(6).normal(24).reshape(8, 3)
     centered = x - x.mean(axis=0)
     expected = centered @ centered.T
-    got = double_center(_pairwise_sq(x)).values
+    got = double_center(_pairwise_sq(x))
     np.testing.assert_allclose(got, expected, atol=1e-10)
 
 
@@ -109,7 +109,7 @@ def test_double_center_recovers_centered_gram():
 @given(st.integers(min_value=2, max_value=9), st.integers(min_value=0, max_value=1000))
 def test_double_center_output_rows_sum_to_zero(n, seed):
     x = Stream(seed).uniform(n * 3, -2, 2).reshape(n, 3)
-    g = double_center(_pairwise_sq(x)).values
+    g = double_center(_pairwise_sq(x))
     assert np.abs(g.sum(axis=1)).max() < 1e-9
 
 
@@ -126,7 +126,7 @@ def test_distances_round_trip_through_double_center(raw):
     symmetric zero-diagonal D, Euclidean or not."""
     d = raw + raw.T
     np.fill_diagonal(d, 0.0)
-    g = double_center(d).values
+    g = double_center(d)
     diag = np.diag(g)
     back = diag[:, None] + diag[None, :] - 2.0 * g
     np.testing.assert_allclose(back, d, rtol=0, atol=1e-12 * max(1.0, d.max()))

@@ -21,6 +21,11 @@ logistic loss and `_shift` the activation offset. The per-trainer bodies
 and the two loss functions that each wrote those out for themselves live
 on below, and the library must agree with them bit for bit: the tables and
 each fit's path (x, trace, iterations, evaluations, stop reason).
+
+Every symmetric table is a plain ndarray that `as_sym_array` checked and
+mirrored. The `SymMatrix` wrapper whose constructor did that lives on
+below, and `as_sym_array` must agree with it bit for bit and raise on the
+same inputs with the same message.
 """
 
 import heapq
@@ -56,7 +61,18 @@ from kernelcontrast.encoders import (
     softmax,
     softplus,
 )
-from kernelcontrast.kernels import FiniteSpace, _finish, _solver_input, jacobi_eigh
+from kernelcontrast.fileio import load_sym_csv, save_sym_csv
+from kernelcontrast.kernels import (
+    SYM_TOL,
+    FiniteSpace,
+    _finish,
+    _solver_input,
+    as_sym_array,
+    gaussian_kernel,
+    gram,
+    jacobi_eigh,
+)
+from kernelcontrast.linear_dr import double_center
 from kernelcontrast.manifold import (
     build_graph,
     graph_laplacian,
@@ -389,7 +405,7 @@ def test_graph_matches_edge_list(kind, seed, weight):
     assert lap.degrees.tobytes() == deg.tobytes()
     assert lap.lap.tobytes() == (np.diag(deg) - weights).tobytes()
 
-    geo = shortest_paths(g).values
+    geo = shortest_paths(g)
     want = _heap_dijkstra(n, edges)
     np.testing.assert_array_equal(geo, geo.T)
     np.testing.assert_array_equal(np.isinf(geo), np.isinf(want))
@@ -664,3 +680,129 @@ def test_linear_probe_error_matches_parent(monkeypatch):
     want, want_fit = _loop_linear_probe_error(phi, task, p, _CFG)
     assert got == want and len(fits) == 1
     _assert_same_fit(fits[0], want_fit)
+
+
+# ------------------------------------------------------- symmetric matrices
+
+
+class _SymMatrix:
+    """The wrapper `as_sym_array` replaced; its constructor, unchanged."""
+
+    def __init__(self, values: np.ndarray):
+        a = np.asarray(values, dtype=float)
+        if a.ndim != 2 or a.shape[0] != a.shape[1]:
+            raise ValueError(f"expected a square matrix, got shape {a.shape}")
+        finite = np.isfinite(a)
+        if not finite.all():
+            bad = a[finite != finite.T]
+            if bad.size:
+                raise ValueError("non-finite entries placed asymmetrically")
+            asym = np.abs(a[finite] - a.T[finite]).max() if finite.any() else 0.0
+        else:
+            asym = np.abs(a - a.T).max()
+        scale = np.abs(a[finite]).max() if finite.any() else 0.0
+        if asym > SYM_TOL * max(1.0, scale):
+            raise ValueError(
+                f"matrix is not symmetric: max asymmetry {asym:.3e} "
+                f"exceeds {SYM_TOL:.1e} * max(1, {scale:.3e})"
+            )
+        upper = np.triu(a)
+        self.values = upper + np.triu(a, 1).T
+        self.n = a.shape[0]
+
+
+def _outcome(gate, a):
+    """What a gate makes of a: the bytes of its result, or its error message."""
+    try:
+        out = gate(np.array(a, dtype=float))
+    except ValueError as exc:
+        return "raises", str(exc)
+    return type(out), out.shape, out.tobytes()
+
+
+def _assert_same_gate(a):
+    want = _outcome(lambda x: _SymMatrix(x).values, a)
+    assert _outcome(as_sym_array, a) == want
+    return want[0]
+
+
+def _off_by(factor):
+    """[[1, 1], [1 + factor * SYM_TOL, 1]]: asymmetric by factor times the tolerance."""
+    return [[1.0, 1.0], [1.0 + factor * SYM_TOL, 1.0]]
+
+
+_GATE_CASES = {
+    "negative-zeros": ([[-0.0, -0.0], [-0.0, 2.0]], True),
+    "symmetric-inf": ([[0.0, np.inf], [np.inf, -np.inf]], True),
+    "asymmetric-inf": ([[0.0, np.inf], [1.0, 0.0]], False),
+    # only the placement of non-finite entries is checked: -inf mirrors to +inf
+    "opposite-infs": ([[0.0, np.inf], [-np.inf, 0.0]], True),
+    "all-non-finite": ([[np.nan, np.inf], [np.inf, np.nan]], True),
+    "just-inside-tol": (_off_by(0.99), True),
+    "just-past-tol": (_off_by(1.01), False),
+    "non-square": (np.zeros((2, 3)), False),
+    "vector": (np.zeros(3), False),
+    "empty": (np.zeros((0, 0)), False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_GATE_CASES))
+def test_as_sym_array_matches_symmatrix_on_edge_cases(name):
+    a, accepted = _GATE_CASES[name]
+    assert (_assert_same_gate(a) is np.ndarray) == accepted
+
+
+_ENTRIES = st.one_of(
+    st.floats(-1e3, 1e3),
+    st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan]),
+)
+
+
+@st.composite
+def _near_symmetric(draw):
+    """A bit-symmetric matrix with signed zeros and non-finite entries, then
+    one off-diagonal pair pulled apart by a multiple of the tolerance, made
+    non-finite on one side only, or given zeros of either sign."""
+    n = draw(st.integers(min_value=1, max_value=5))
+    a = np.array(draw(st.lists(_ENTRIES, min_size=n * n, max_size=n * n))).reshape(n, n)
+    a = np.where(np.tri(n, k=-1, dtype=bool), a.T, a)
+    if n == 1:
+        return a
+    i, j = draw(st.permutations(range(n)))[:2]
+    kind = draw(st.sampled_from(["none", "tol", "inf", "zeros"]))
+    if kind == "tol":
+        finite = a[np.isfinite(a)]
+        scale = max(1.0, float(np.abs(finite).max())) if finite.size else 1.0
+        factor = draw(st.sampled_from([0.5, 1.0 - 1e-6, 1.0 + 1e-6, 2.0]))
+        a[i, j] = a[j, i] + factor * SYM_TOL * scale
+    elif kind == "inf":
+        a[i, j] = draw(st.sampled_from([np.inf, -np.inf]))
+    elif kind == "zeros":
+        a[i, j], a[j, i] = draw(st.sampled_from([(-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0)]))
+    return a
+
+
+@settings(deadline=None, max_examples=300)
+@given(_near_symmetric())
+def test_as_sym_array_matches_symmatrix(a):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _assert_same_gate(a)
+
+
+def test_symmetric_tables_are_bit_symmetric_arrays(tmp_path):
+    pts = Stream(31).uniform(16, 0.0, 3.0).reshape(8, 2)
+    path = str(tmp_path / "k.csv")
+    save_sym_csv(path, gram(gaussian_kernel(0.5), pts))
+    process = _process()
+    tables = {
+        "gram": gram(gaussian_kernel(1.0), pts),
+        "shortest_paths": shortest_paths(build_graph(pts, knn=2)),
+        "double_center": double_center(np.square(pairwise_distances(pts))),
+        "load_sym_csv": load_sym_csv(path),
+        "k_plus": process.k_plus,
+        "abar": process.abar,
+    }
+    for name, table in tables.items():
+        assert type(table) is np.ndarray, name
+        assert table.tobytes() == table.T.tobytes(), name

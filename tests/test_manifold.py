@@ -109,7 +109,7 @@ def test_geodesics_hand_oracle():
     g = NeighborGraph(
         adjacency=weights > 0.0, weights=weights, components=[[0, 1, 2, 3, 4]]
     )
-    geo = shortest_paths(g).values
+    geo = shortest_paths(g)
     expected = np.array(
         [
             [0.0, 1.0, 2.0, 4.0, 5.0],
@@ -124,7 +124,7 @@ def test_geodesics_hand_oracle():
 
 def test_shortest_paths_unreachable_is_inf():
     g = build_graph(LINE4, eps=1.5)
-    geo = shortest_paths(g).values
+    geo = shortest_paths(g)
     assert np.isinf(geo[0, 3])
     assert geo[0, 2] == 2.0  # through the chain, not the direct 2.0... equal here
     assert geo[3, 3] == 0.0
@@ -133,7 +133,7 @@ def test_shortest_paths_unreachable_is_inf():
 def test_chain_geodesic_accumulates_edges():
     pts = np.array([[0.0], [1.0], [2.0], [3.5]])
     g = build_graph(pts, eps=1.6)
-    geo = shortest_paths(g).values
+    geo = shortest_paths(g)
     assert geo[0, 3] == pytest.approx(3.5)
 
 

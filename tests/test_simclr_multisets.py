@@ -61,7 +61,7 @@ def _ordered_infonce_tv_gap(scores, process, b):
     K_plus sum is 0 are skipped.
     """
     s = np.asarray(scores, dtype=float)
-    k_plus = process.k_plus.values
+    k_plus = process.k_plus
     n = process.n
     tuples = np.asarray(
         list(itertools.product(range(n), repeat=2 * b - 1)), dtype=int
@@ -145,7 +145,7 @@ def test_closed_form_optimum_at_eight_items(b):
     n = 8
     process = _random_process(n, seed=40 + b)
     shifts = Stream(b).normal(n)[:, None]
-    scores = np.log(process.k_plus.values) + shifts
+    scores = np.log(process.k_plus) + shifts
     loss, grad = simclr_loss_grad(scores, process, b)
     assert np.isfinite(loss)
     assert np.abs(grad).max() < 1e-12
