@@ -45,7 +45,6 @@ __all__ = [
     "CorpusStats",
     "corpus_stats",
     "shifted_pmi_matrix",
-    "nce_loss",
     "nce_loss_grad",
     "train_nce",
     "sgns_expected_loss",
@@ -53,7 +52,6 @@ __all__ = [
     "train_sgns",
     "PairProcess",
     "pair_process",
-    "infonce_loss",
     "expected_simclr_loss",
     "simclr_loss_mc",
     "simclr_loss_grad",
@@ -212,8 +210,9 @@ def shifted_pmi_matrix(stats: CorpusStats, k: float) -> np.ndarray:
     return out
 
 
-def nce_loss(scores, labels, k: float) -> float:
-    """Mean binary cross-entropy through the k-shifted sigmoid.
+def nce_loss_grad(scores, labels, k: float):
+    """Mean binary cross-entropy through the k-shifted sigmoid, with its
+    gradient in the scores.
 
     Scores are per-sample; labels mark observed (1) versus noise (0)
     samples. With k equal to the noise-to-data count ratio, the minimizer
@@ -221,12 +220,6 @@ def nce_loss(scores, labels, k: float) -> float:
     empirical distributions; with k = 1 (plain sigmoid) the same ratio
     appears shifted by -log(noise/data ratio).
     """
-    loss, _ = nce_loss_grad(scores, labels, k)
-    return loss
-
-
-def nce_loss_grad(scores, labels, k: float):
-    """nce_loss value together with its gradient in the scores."""
     shift = _shift(k, "k_sigmoid")
     s = np.asarray(scores, dtype=float)
     y = np.asarray(labels, dtype=float)
@@ -250,10 +243,10 @@ def train_nce(
 
     ``pos_counts[x]`` and ``neg_counts[x]`` are how many times item x
     appeared with label 1 and 0. The loss is the count-weighted mean
-    binary cross-entropy, i.e. exactly nce_loss on the expanded sample
-    list, so the closed-form optimum applies: with ``activation`` set to
-    "k_sigmoid" the trained score converges to log(p1/p0); with "sigmoid"
-    it converges to log(p1/p0) - log k.
+    binary cross-entropy, i.e. exactly the `nce_loss_grad` loss on the
+    expanded sample list, so the closed-form optimum applies: with
+    ``activation`` set to "k_sigmoid" the trained score converges to
+    log(p1/p0); with "sigmoid" it converges to log(p1/p0) - log k.
 
     Returns the `minimize` result; its ``x`` is the score vector.
     """
@@ -434,22 +427,6 @@ class EnumerationBudgetError(ValueError):
 def _logsumexp(z: np.ndarray, axis: int = -1) -> np.ndarray:
     m = z.max(axis=axis, keepdims=True)
     return (m + np.log(np.exp(z - m).sum(axis=axis, keepdims=True))).squeeze(axis)
-
-
-def infonce_loss(scores: np.ndarray, anchor: int, positive: int, negatives) -> float:
-    """Cross-entropy of picking the positive among the candidates.
-
-    ``scores`` is a full score table s(x, z); candidates are the positive
-    followed by the negatives, all scored against the anchor.
-    """
-    negatives = list(negatives)
-    if positive in negatives:
-        raise ValueError("positive must not appear among the negatives")
-    if not negatives:
-        raise ValueError("need at least one negative")
-    s = np.asarray(scores, dtype=float)
-    logits = s[anchor, [positive] + negatives]
-    return float(_logsumexp(logits) - logits[0])
 
 
 @functools.lru_cache(maxsize=16)

@@ -2,10 +2,10 @@
 
 Losses in this package are deterministic functions of parameters, so
 training is plain gradient descent with a backtracking line search rather
-than anything stochastic. Both encoder families (lookup tables for finite
-spaces, small MLPs for coordinate inputs) expose their parameters as one
-flat vector so the optimizer and the finite-difference gradient checker
-need no knowledge of parameter structure.
+than anything stochastic. The encoder is a lookup table, one row per
+item of a finite space, and exposes its parameters as one flat vector so
+the optimizer and the finite-difference gradient checker need no
+knowledge of parameter structure.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ __all__ = [
     "softplus",
     "softmax",
     "EmbeddingTable",
-    "MlpEncoder",
     "grad_check",
     "OptimizerConfig",
     "OptimizeResult",
@@ -127,81 +126,6 @@ class EmbeddingTable:
 
     def flat(self) -> np.ndarray:
         return self.rows.reshape(-1).copy()
-
-
-class MlpEncoder:
-    """Fully connected network with ramp (max(0, .)) hidden layers and a linear head.
-
-    Parameters live in `weights` / `biases` lists but are read and written
-    as one flat vector through `flat` / `set_flat`, matching the calling
-    convention of `minimize` and `grad_check`. The ramp is piecewise
-    linear, so finite-difference checks agree with the analytic gradient
-    everywhere except exactly at a kink.
-    """
-
-    def __init__(self, sizes: tuple, seed: int = 0):
-        sizes = tuple(int(s) for s in sizes)
-        if len(sizes) < 2 or any(s < 1 for s in sizes):
-            raise ValueError(f"need at least input and output sizes, got {sizes}")
-        self.sizes = sizes
-        stream = Stream(seed)
-        self.weights = []
-        self.biases = []
-        for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-            w = stream.uniform(fan_out * fan_in, -INIT_SCALE, INIT_SCALE)
-            self.weights.append(w.reshape(fan_out, fan_in))
-            self.biases.append(stream.uniform(fan_out, -INIT_SCALE, INIT_SCALE))
-
-    @property
-    def n_params(self) -> int:
-        return sum(w.size + b.size for w, b in zip(self.weights, self.biases))
-
-    def flat(self) -> np.ndarray:
-        parts = []
-        for w, b in zip(self.weights, self.biases):
-            parts.append(w.reshape(-1))
-            parts.append(b)
-        return np.concatenate(parts)
-
-    def set_flat(self, params: np.ndarray) -> None:
-        params = np.asarray(params, dtype=float)
-        if params.shape != (self.n_params,):
-            raise ValueError(f"expected {self.n_params} parameters, got {params.shape}")
-        pos = 0
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            self.weights[i] = params[pos : pos + w.size].reshape(w.shape).copy()
-            pos += w.size
-            self.biases[i] = params[pos : pos + b.size].copy()
-            pos += b.size
-
-    def forward_batch(self, x: np.ndarray):
-        """Outputs and per-layer activations for a batch of row vectors."""
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        acts = [x]
-        h = x
-        last = len(self.weights) - 1
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            h = h @ w.T + b
-            if i < last:
-                h = np.maximum(h, 0.0)
-            acts.append(h)
-        return h, acts
-
-    def backward_batch(self, acts, grad_out: np.ndarray) -> np.ndarray:
-        """Flat parameter gradient given upstream d(loss)/d(output)."""
-        grads_w = [None] * len(self.weights)
-        grads_b = [None] * len(self.biases)
-        g = np.atleast_2d(np.asarray(grad_out, dtype=float))
-        for i in range(len(self.weights) - 1, -1, -1):
-            grads_w[i] = g.T @ acts[i]
-            grads_b[i] = g.sum(axis=0)
-            if i > 0:
-                g = (g @ self.weights[i]) * (acts[i] > 0.0)
-        parts = []
-        for gw, gb in zip(grads_w, grads_b):
-            parts.append(gw.reshape(-1))
-            parts.append(gb)
-        return np.concatenate(parts)
 
 
 def grad_check(fun, params: np.ndarray, epsilon: float = 1e-5) -> float:

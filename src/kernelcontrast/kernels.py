@@ -25,7 +25,6 @@ __all__ = [
     "polynomial_kernel",
     "gaussian_kernel",
     "table_kernel",
-    "exp_pmi_kernel",
     "cross_gram",
     "gram",
     "is_psd",
@@ -51,8 +50,9 @@ def as_sym_array(m) -> np.ndarray:
     as an ndarray symmetric to the bit.
 
     Rejects inputs whose asymmetry exceeds ``SYM_TOL`` relative to the
-    largest finite entry, then mirrors the upper triangle, so callers can
-    rely on ``a[i, j] == a[j, i]`` exactly.
+    largest finite entry, or whose non-finite entries differ from their
+    mirror, then mirrors the upper triangle, so callers can rely on
+    ``a[i, j] == a[j, i]`` exactly.
     """
     a = np.asarray(m, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -60,9 +60,8 @@ def as_sym_array(m) -> np.ndarray:
     finite = np.isfinite(a)
     if not finite.all():
         # Non-finite entries (e.g. unreachable geodesics) are allowed
-        # only when they are placed symmetrically.
-        bad = a[finite != finite.T]
-        if bad.size:
+        # only where the mirror entry holds the same value, or both are nan.
+        if not np.array_equal(a[~finite], a.T[~finite], equal_nan=True):
             raise ValueError("non-finite entries placed asymmetrically")
         asym = np.abs(a[finite] - a.T[finite]).max() if finite.any() else 0.0
     else:
@@ -280,35 +279,6 @@ def gaussian_kernel(sigma2: float) -> KernelSpec:
 def table_kernel(table) -> KernelSpec:
     """Wrap an explicit symmetric value table over a finite space."""
     return KernelSpec(kind="table", table=as_sym_array(table))
-
-
-def exp_pmi_kernel(joint, marg_row, marg_col) -> KernelSpec:
-    """Pointwise ratio joint / (marg_row x marg_col) as a table kernel.
-
-    The joint is read as a pair-probability table, so its row and column
-    sums must reproduce the supplied marginals. The ratio is the entrywise
-    exponential of pointwise mutual information; when the table comes from
-    an actual pair distribution with matching marginals the result is a
-    positive-semidefinite kernel on the finite space.
-    """
-    j = np.asarray(joint, dtype=float)
-    mr = np.asarray(marg_row, dtype=float)
-    mc = np.asarray(marg_col, dtype=float)
-    if j.ndim != 2 or j.shape != (mr.shape[0], mc.shape[0]):
-        raise ValueError(
-            f"joint shape {j.shape} does not match marginals "
-            f"({mr.shape[0]}, {mc.shape[0]})"
-        )
-    if np.any(j < 0.0):
-        raise ValueError("joint table has negative entries")
-    if np.any(mr <= 0.0) or np.any(mc <= 0.0):
-        raise ValueError("degenerate event: a marginal probability is zero")
-    if np.abs(j.sum(axis=1) - mr).max() > 1e-9:
-        raise ValueError("joint row sums do not reproduce the row marginal")
-    if np.abs(j.sum(axis=0) - mc).max() > 1e-9:
-        raise ValueError("joint column sums do not reproduce the column marginal")
-    ratio = j / np.outer(mr, mc)
-    return KernelSpec(kind="table", table=symmetrize(ratio))
 
 
 def _table_indices(points, n: int) -> np.ndarray:

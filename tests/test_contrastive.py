@@ -13,10 +13,8 @@ from kernelcontrast.contrastive import (
     cosine_scores,
     dirichlet_conductance,
     expected_simclr_loss,
-    infonce_loss,
     infonce_tv_gap,
     linear_probe_error,
-    nce_loss,
     nce_loss_grad,
     pair_process,
     row_normalized,
@@ -119,7 +117,6 @@ def test_nce_loss_hand_value_and_grad():
     loss, grad = nce_loss_grad([0.0, 0.0], [1, 0], k=1.0)
     assert loss == pytest.approx(np.log(2.0))
     np.testing.assert_allclose(grad, [-0.25, 0.25], atol=1e-15)
-    assert nce_loss([0.0, 0.0], [1, 0], k=1.0) == pytest.approx(np.log(2.0))
 
 
 def test_nce_loss_grad_finite_difference():
@@ -134,11 +131,11 @@ def test_nce_loss_grad_finite_difference():
 
 def test_nce_loss_validation():
     with pytest.raises(ValueError):
-        nce_loss([0.0], [1], k=-1.0)
+        nce_loss_grad([0.0], [1], k=-1.0)
     with pytest.raises(ValueError):
-        nce_loss([0.0, 1.0], [1], k=1.0)
+        nce_loss_grad([0.0, 1.0], [1], k=1.0)
     with pytest.raises(ValueError):
-        nce_loss([0.0], [2], k=1.0)
+        nce_loss_grad([0.0], [2], k=1.0)
 
 
 def test_train_nce_recovers_log_count_ratio():
@@ -268,6 +265,20 @@ def test_pair_process_marginal_shift_flag():
     assert np.abs(proc.marginal - space.p).max() > 1e-12
 
 
+def test_pair_process_k_plus_hand_values():
+    """K_plus = p_plus / (marginal x marginal), worked by hand on two items.
+
+    Staying with probability 0.8 gives p_plus = [[0.34, 0.16], [0.16, 0.34]]
+    over the uniform marginal; an augmentation that ignores its input makes
+    the two views independent, so every ratio is 1.
+    """
+    space = FiniteSpace(["a", "b"], np.array([0.5, 0.5]))
+    stay = pair_process(space, np.array([[0.8, 0.2], [0.2, 0.8]]))
+    np.testing.assert_allclose(stay.k_plus, [[1.36, 0.64], [0.64, 1.36]], rtol=0, atol=1e-15)
+    independent = pair_process(space, np.array([[0.3, 0.7], [0.3, 0.7]]))
+    np.testing.assert_allclose(independent.k_plus, np.ones((2, 2)), rtol=0, atol=1e-15)
+
+
 @st.composite
 def _random_pair_process(draw):
     """A positive source and a random stochastic augmentation over 1-6 items.
@@ -306,17 +317,6 @@ def test_pair_process_validation():
 
 
 # ------------------------------------------------------- InfoNCE and SimCLR
-
-
-def test_infonce_loss_hand_value():
-    scores = np.array([[0.0, 1.0, -1.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
-    # anchor 0, positive 1, negative 2: lse(1, -1) - 1
-    expected = np.log(np.exp(1.0) + np.exp(-1.0)) - 1.0
-    assert infonce_loss(scores, 0, 1, [2]) == pytest.approx(expected)
-    with pytest.raises(ValueError):
-        infonce_loss(scores, 0, 1, [1, 2])
-    with pytest.raises(ValueError):
-        infonce_loss(scores, 0, 1, [])
 
 
 def test_constant_scores_give_log_batch_size():

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from kernelcontrast.encoders import (
     DivergenceError,
     EmbeddingTable,
-    MlpEncoder,
     OptimizerConfig,
     grad_check,
     k_sigmoid,
@@ -100,42 +99,6 @@ def test_embedding_table_rejects_bad_rows():
         EmbeddingTable(np.zeros(4))
     with pytest.raises(ValueError):
         EmbeddingTable(np.array([[1.0, np.nan]]))
-
-
-def test_mlp_flat_roundtrip():
-    net = MlpEncoder((3, 5, 2), seed=1)
-    flat = net.flat()
-    assert flat.shape == (net.n_params,)
-    net.set_flat(flat * 0.0)
-    assert np.all(net.flat() == 0.0)
-    net.set_flat(flat)
-    np.testing.assert_array_equal(net.flat(), flat)
-    with pytest.raises(ValueError):
-        net.set_flat(flat[:-1])
-
-
-def test_mlp_forward_is_piecewise_linear_head():
-    net = MlpEncoder((2, 4, 3), seed=0)
-    out, acts = net.forward_batch(np.array([[0.3, -0.1], [1.0, 1.0]]))
-    assert out.shape == (2, 3)
-    assert len(acts) == 3
-    assert np.all(acts[1] >= 0.0)  # hidden layer is ramp-clipped
-
-
-def test_mlp_grad_check_squared_loss():
-    """Analytic backprop against central differences on an L2 objective."""
-    net = MlpEncoder((2, 6, 2), seed=3)
-    x = Stream(4).uniform(10, -1, 1).reshape(5, 2)
-    target = Stream(5).uniform(10, -1, 1).reshape(5, 2)
-
-    def fun(params):
-        net.set_flat(params)
-        out, acts = net.forward_batch(x)
-        diff = out - target
-        loss = 0.5 * float((diff * diff).sum())
-        return loss, net.backward_batch(acts, diff)
-
-    assert grad_check(fun, net.flat()) < 1e-6
 
 
 def test_grad_check_flags_a_wrong_gradient():

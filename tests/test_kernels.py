@@ -13,7 +13,6 @@ from kernelcontrast.kernels import (
     as_sym_array,
     cross_gram,
     eigh,
-    exp_pmi_kernel,
     gaussian_kernel,
     gram,
     is_psd,
@@ -448,26 +447,6 @@ def test_psd_battery():
     assert is_psd(gram(gaussian_kernel(0.5), pts))
     # the exchange matrix has eigenvalues +1 and -1
     assert not is_psd([[0.0, 1.0], [1.0, 0.0]])
-
-
-def test_exp_pmi_closed_form():
-    joint = np.array([[0.4, 0.1], [0.1, 0.4]])
-    spec = exp_pmi_kernel(joint, joint.sum(axis=1), joint.sum(axis=0))
-    np.testing.assert_allclose(spec.table, [[1.6, 0.4], [0.4, 1.6]], atol=1e-15)
-
-
-def test_exp_pmi_independent_pair_is_flat():
-    p = np.array([0.3, 0.7])
-    spec = exp_pmi_kernel(np.outer(p, p), p, p)
-    np.testing.assert_allclose(spec.table, np.ones((2, 2)), atol=1e-15)
-
-
-def test_exp_pmi_rejects_mismatched_marginals():
-    joint = np.array([[0.4, 0.1], [0.1, 0.4]])
-    with pytest.raises(ValueError, match="row sums"):
-        exp_pmi_kernel(joint, np.array([0.6, 0.4]), joint.sum(axis=0))
-    with pytest.raises(ValueError, match="zero"):
-        exp_pmi_kernel(joint, np.array([0.5, 0.5]), np.array([0.5, 0.0]))
 
 
 # --------------------------------------------------------- mercer_decompose

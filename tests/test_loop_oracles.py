@@ -25,10 +25,14 @@ each fit's path (x, trace, iterations, evaluations, stop reason).
 Every symmetric table is a plain ndarray that `as_sym_array` checked and
 mirrored. The `SymMatrix` wrapper whose constructor did that lives on
 below, and `as_sym_array` must agree with it bit for bit and raise on the
-same inputs with the same message.
+same inputs with the same message, with one tightening: the wrapper checked
+only where non-finite entries sat, so it let -inf mirror to +inf and inf to
+nan. `as_sym_array` rejects every non-finite entry that differs from its
+mirror, unless both are nan.
 """
 
 import heapq
+import math
 import warnings
 
 import numpy as np
@@ -720,10 +724,29 @@ def _outcome(gate, a):
     return type(out), out.shape, out.tobytes()
 
 
+def _mismatched_non_finite(a):
+    """Whether some non-finite entry differs from its mirror, other than nan
+    against nan."""
+    a = np.array(a, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        return False
+    for i in range(a.shape[0]):
+        for j in range(a.shape[0]):
+            x, y = float(a[i, j]), float(a[j, i])
+            if math.isfinite(x) and math.isfinite(y):
+                continue
+            if not (x == y or (math.isnan(x) and math.isnan(y))):
+                return True
+    return False
+
+
 def _assert_same_gate(a):
-    want = _outcome(lambda x: _SymMatrix(x).values, a)
-    assert _outcome(as_sym_array, a) == want
-    return want[0]
+    got = _outcome(as_sym_array, a)
+    if _mismatched_non_finite(a):
+        assert got == ("raises", "non-finite entries placed asymmetrically")
+        return got[0]
+    assert got == _outcome(lambda x: _SymMatrix(x).values, a)
+    return got[0]
 
 
 def _off_by(factor):
@@ -735,8 +758,9 @@ _GATE_CASES = {
     "negative-zeros": ([[-0.0, -0.0], [-0.0, 2.0]], True),
     "symmetric-inf": ([[0.0, np.inf], [np.inf, -np.inf]], True),
     "asymmetric-inf": ([[0.0, np.inf], [1.0, 0.0]], False),
-    # only the placement of non-finite entries is checked: -inf mirrors to +inf
-    "opposite-infs": ([[0.0, np.inf], [-np.inf, 0.0]], True),
+    # the wrapper accepted both: -inf mirrored to +inf, inf to nan
+    "opposite-infs": ([[0.0, np.inf], [-np.inf, 0.0]], False),
+    "inf-vs-nan": ([[0.0, np.nan], [np.inf, 0.0]], False),
     "all-non-finite": ([[np.nan, np.inf], [np.inf, np.nan]], True),
     "just-inside-tol": (_off_by(0.99), True),
     "just-past-tol": (_off_by(1.01), False),
