@@ -34,7 +34,6 @@ from .encoders import (
     EmbeddingTable,
     OptimizerConfig,
     minimize,
-    sigmoid,
     softmax,
     softplus,
 )
@@ -94,26 +93,39 @@ def _logistic_loss_grad(z: np.ndarray, w_pos, w_neg):
     """The NCE weighted binary cross-entropy on logits z (Gutmann &
     Hyvarinen 2010), of which SGNS is the word-context case (Levy &
     Goldberg 2014): sum w+ log(1 + e^-z) + w- log(1 + e^z), and its
-    gradient (w+ + w-) sigmoid(z) - w+ in z."""
-    loss = (w_pos * softplus(-z) + w_neg * softplus(z)).sum()
-    return loss, (w_pos + w_neg) * sigmoid(z) - w_pos
+    gradient (w+ + w-) sigmoid(z) - w+ in z.
+
+    One softplus and one exponential of -|z| serve both softplus terms,
+    softplus(+-z) = max(+-z, 0) + softplus(-|z|), and the sigmoid. Each
+    term equals `softplus` and `sigmoid` of z bit for bit, since those
+    split at z = 0 in the same way."""
+    a = np.abs(z)
+    tail = softplus(-a)
+    e = np.exp(-a)
+    loss = (w_pos * (np.maximum(-z, 0.0) + tail) + w_neg * (np.maximum(z, 0.0) + tail)).sum()
+    return loss, (w_pos + w_neg) * (np.where(z >= 0.0, 1.0, e) / (1.0 + e)) - w_pos
 
 
-def _fit_tables(objective, n: int, d: int, count: int, cfg: OptimizerConfig):
+def _fit_tables(objective, n: int, d: int, count: int, cfg: OptimizerConfig, scale=1.0):
     """Minimize ``objective`` over ``count`` n x d tables in one `minimize` run.
 
     Table i starts from ``EmbeddingTable.random(n, d, cfg.seed + i)``, and
     ``objective(*tables)`` returns the loss and one gradient per table.
     Returns the trained tables, each carrying the run as ``fits``.
+
+    ``minimize`` runs on the tables divided by ``scale``, which broadcasts
+    against the (count, n, d) stack: a diagonal preconditioner by change of
+    variables, which the objective never sees. The default 1.0 changes no
+    bit of the run, and ``fits[0].x`` holds the divided tables.
     """
 
     def packed(flat):
-        loss, *grads = objective(*flat.reshape(count, n, d))
-        return loss, np.concatenate([g.reshape(-1) for g in grads])
+        loss, *grads = objective(*(flat.reshape(count, n, d) * scale))
+        return loss, (np.stack(grads) * scale).reshape(-1)
 
-    x0 = np.concatenate([EmbeddingTable.random(n, d, cfg.seed + i).flat() for i in range(count)])
-    fit = minimize(packed, x0, cfg)
-    return [EmbeddingTable(rows, fits=(fit,)) for rows in fit.x.reshape(count, n, d)]
+    x0 = np.stack([EmbeddingTable.random(n, d, cfg.seed + i).rows for i in range(count)])
+    fit = minimize(packed, (x0 / scale).reshape(-1), cfg)
+    return [EmbeddingTable(rows, fits=(fit,)) for rows in fit.x.reshape(count, n, d) * scale]
 
 
 # ---------------------------------------------------------------------------
@@ -302,10 +314,15 @@ def sgns_loss_grad(
         raise ValueError("embedding tables must have one row per vocabulary item")
     if phi_rows.shape[1] != psi_rows.shape[1]:
         raise ValueError("target and context tables must share a dimension")
-    q = _negative_distribution(stats, neg_exponent)
     z = phi_rows @ psi_rows.T - shift
-    loss, dz = _logistic_loss_grad(z, stats.counts, k * np.outer(stats.counts.sum(axis=1), q))
+    loss, dz = _logistic_loss_grad(z, *_sgns_weights(stats, k, neg_exponent))
     return float(loss), dz @ psi_rows, dz.T @ phi_rows
+
+
+def _sgns_weights(stats: CorpusStats, k: float, neg_exponent: float):
+    """The positive and expected negative pair counts, w+ and w-."""
+    q = _negative_distribution(stats, neg_exponent)
+    return stats.counts, k * np.outer(stats.counts.sum(axis=1), q)
 
 
 def _negative_distribution(stats: CorpusStats, neg_exponent: float) -> np.ndarray:
@@ -334,16 +351,28 @@ def train_sgns(
     With d at least the vocabulary size and every pair count positive,
     the product of the trained tables converges to PMI - log k entrywise
     (plain sigmoid) or to unshifted PMI (k-shifted sigmoid).
+
+    The optimizer runs on count-preconditioned tables u = D_r^(1/2) phi and
+    v = D_c^(1/2) psi, from the same random phi and psi as without them.
+    The loss's curvature in the score of pair (x, y) is at most
+    (w+ + w-)(x, y) / 4, so r and c are the row and column sums of
+    (w+ + w-) / 4: on a Zipf corpus they span the decades that the word
+    counts span, and the change of variables evens them out. ``fits[0].x``
+    holds u and v.
     """
     n = stats.space.n
     if d < 1:
         raise ValueError(f"d must be positive, got {d}")
     cfg = config or OptimizerConfig(tol=1e-9, max_iter=20000)
+    _shift(k, activation)  # reject a bad k before it enters the weights
+    w_pos, w_neg = _sgns_weights(stats, k, neg_exponent)
+    curvature = (w_pos + w_neg) / 4.0
+    scale = 1.0 / np.sqrt(np.stack((curvature.sum(axis=1), curvature.sum(axis=0))))
 
     def objective(phi_rows, psi_rows):
         return sgns_loss_grad(phi_rows, psi_rows, stats, k, activation, neg_exponent)
 
-    phi, psi = _fit_tables(objective, n, d, 2, cfg)
+    phi, psi = _fit_tables(objective, n, d, 2, cfg, scale[:, :, None])
     return phi, psi
 
 

@@ -38,7 +38,6 @@ class EigenfunctionSet:
 
     values: np.ndarray
     estimates: np.ndarray
-    weights: np.ndarray
     gaps: np.ndarray
     fits: tuple[OptimizeResult, ...] = ()
 
@@ -54,6 +53,13 @@ def _make_stage(m: np.ndarray, d_weights: np.ndarray, prev: np.ndarray, quad: np
     their quadratic forms. The candidate is normalized to unit p-weighted
     second moment inside the objective, so the raw parameterization is
     scale-invariant; the gradient accounts for that normalization.
+
+    That gradient shrinks as 1 / ||psi||_p, so steps that grow ||psi||_p
+    would shrink it until ``tol`` is met far from the optimum. The term
+    (||psi||_p^2 - 1)^2 / 4 pins the scale. The scale-invariant gradient
+    is orthogonal to psi and the term's gradient has inner product
+    (||psi||_p^2 - 1) ||psi||_p^2 with it, so the sum vanishes exactly where
+    the scale-invariant loss is stationary and ||psi||_p = 1.
     """
     mprev = prev @ m
 
@@ -73,7 +79,8 @@ def _make_stage(m: np.ndarray, d_weights: np.ndarray, prev: np.ndarray, quad: np
             loss += ratio * rij
             grad_hat += 2.0 * ratio * mprev[i]
         grad = (grad_hat - (d_weights * hat) * float(hat @ grad_hat)) / c
-        return loss, grad
+        excess = norm2 - 1.0
+        return loss + 0.25 * excess * excess, grad + excess * (d_weights * psi)
 
     return objective
 
@@ -117,6 +124,4 @@ def train_eigenfunctions(
     fix_signs(values)
     scale = max(estimates[0], np.finfo(float).tiny)
     gaps = (estimates[:-1] - estimates[1:]) / scale
-    return EigenfunctionSet(
-        values=values, estimates=estimates, weights=w, gaps=gaps, fits=tuple(fits)
-    )
+    return EigenfunctionSet(values=values, estimates=estimates, gaps=gaps, fits=tuple(fits))

@@ -1,15 +1,17 @@
 """Encoders, stable activations, and the full-batch optimizer.
 
 Losses in this package are deterministic functions of parameters, so
-training is plain gradient descent with a backtracking line search rather
-than anything stochastic. The encoder is a lookup table, one row per
-item of a finite space, and exposes its parameters as one flat vector so
-the optimizer and the finite-difference gradient checker need no
-knowledge of parameter structure.
+training is full-batch gradient descent rather than anything stochastic:
+Barzilai-Borwein step lengths, checked by a nonmonotone backtracking line
+search. The encoder is a lookup table, one row per item of a finite
+space, and exposes its parameters as one flat vector so the optimizer and
+the finite-difference gradient checker need no knowledge of parameter
+structure.
 """
 
 from __future__ import annotations
 
+import collections
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,10 +34,14 @@ __all__ = [
 INIT_SCALE = 0.1
 
 # The stall rule of `minimize`: this many consecutive accepted steps, each
-# lowering the loss by at most STALL_ULPS ulps of |loss| without a new low
-# in the gradient norm, end the run.
+# lowering the lowest loss so far by at most STALL_ULPS ulps of it without
+# a new low in the gradient norm, end the run.
 STALL_WINDOW = 20
 STALL_ULPS = 4
+
+# The nonmonotone line search of `minimize` tests the Armijo condition
+# against the largest of this many most recent accepted losses.
+NONMONOTONE = 10
 
 # The line search of `minimize`: its first trial step, its Armijo
 # sufficient-decrease constant, and the smallest step it tries before
@@ -163,34 +169,42 @@ class OptimizerConfig:
 
 
 def minimize(fun, x0: np.ndarray, config: OptimizerConfig | None = None) -> OptimizeResult:
-    """Full-batch gradient descent with Armijo backtracking.
+    """Full-batch gradient descent with Barzilai-Borwein steps and a
+    nonmonotone Armijo line search.
 
-    Each iteration halves the step until the Armijo sufficient-decrease
-    test passes, then doubles the accepted step for the next iteration so
-    the search adapts in both directions. The returned trace of accepted
-    losses is monotone nonincreasing by construction. Raises
-    DivergenceError if no step down to MIN_STEP decreases the loss.
+    Each iteration first tries the BB1 step s's / s'y of Barzilai and
+    Borwein (1988), where s and y are the last changes in x and in the
+    gradient; when s'y <= 0 it tries twice the last accepted step instead.
+    It halves the step until the Armijo test passes against the largest
+    of the last NONMONOTONE accepted losses (Grippo, Lampariello and
+    Lucidi 1986; Raydan 1997), so a single step may raise the loss while
+    the run as a whole descends. Raises DivergenceError if no step down to
+    MIN_STEP passes.
 
     The run stops for one of three reasons, recorded as ``stop_reason``:
 
     * ``"gradient"``: the gradient norm fell to ``tol`` or below;
     * ``"stalled"``: STALL_WINDOW consecutive accepted steps each lowered
-      the loss by at most STALL_ULPS ulps of |loss| and none of them set a
-      new low for the gradient norm, so the iterate sits at the float
-      floor of the loss. The gradient-record guard keeps the run going
-      while x still moves toward the optimum after the loss looks flat.
-      Near a zero loss the ulp test never fires and ``tol`` decides;
+      the lowest loss so far by at most STALL_ULPS ulps of it and none of
+      them set a new low for the gradient norm, so the iterate sits at
+      the float floor of the loss. The gradient-record guard keeps the
+      run going while x still moves toward the optimum after the loss
+      looks flat. Near a zero loss the ulp test never fires and ``tol``
+      decides;
     * ``"max_iter"``: ``max_iter`` steps were accepted without either.
 
     Returns
     -------
     OptimizeResult
-        ``x`` the last accepted iterate or, after a stall, the accepted
-        iterate with the smallest gradient norm; ``trace`` the loss at
-        each accepted iterate, starting with the initial loss;
-        ``iterations`` the number of accepted steps (``len(trace) - 1``);
-        ``evaluations`` the number of calls of ``fun``; ``grad_norm`` the
-        gradient norm at ``x``.
+        ``x`` the last accepted iterate after a ``"gradient"`` stop, the
+        accepted iterate with the smallest gradient norm after a stall,
+        and the accepted iterate with the lowest loss after ``"max_iter"``
+        (then ``fun(x)[0] == trace[-1]``); ``trace`` the lowest loss among
+        the accepted iterates so far, one entry per iterate starting with
+        the initial loss, so it is monotone nonincreasing; ``iterations``
+        the number of accepted steps (``len(trace) - 1``); ``evaluations``
+        the number of calls of ``fun``; ``grad_norm`` the gradient norm at
+        ``x``.
     """
     cfg = config or OptimizerConfig()
     x = np.asarray(x0, dtype=float).copy()
@@ -199,8 +213,11 @@ def minimize(fun, x0: np.ndarray, config: OptimizerConfig | None = None) -> Opti
     if not np.isfinite(loss):
         raise ValueError(f"initial loss is not finite: {loss!r}")
     trace = [float(loss)]
+    recent = collections.deque(trace, maxlen=NONMONOTONE)
     step = STEP_SIZE
     gnorm2 = float(np.dot(grad, grad))
+    # the accepted iterates with the lowest loss and the lowest gradient norm
+    low_x, low_gnorm2 = x, gnorm2
     best_x, best_gnorm2 = x, gnorm2
     flat_steps = 0
     while True:
@@ -213,23 +230,30 @@ def minimize(fun, x0: np.ndarray, config: OptimizerConfig | None = None) -> Opti
         if len(trace) - 1 >= cfg.max_iter:
             stop_reason = "max_iter"
             break
+        reference = max(recent)
         while step >= MIN_STEP:
             candidate = x - step * grad
             cand_loss, cand_grad = fun(candidate)
             evaluations += 1
-            if np.isfinite(cand_loss) and cand_loss <= loss - ARMIJO_C * step * gnorm2:
+            if np.isfinite(cand_loss) and cand_loss <= reference - ARMIJO_C * step * gnorm2:
                 break
             step *= 0.5
         else:
             raise DivergenceError(
                 f"line search failed at loss {loss!r}: no step above "
-                f"{MIN_STEP:g} decreases it"
+                f"{MIN_STEP:g} passes the Armijo test"
             )
-        flat = loss - cand_loss <= STALL_ULPS * np.spacing(abs(loss))
+        s, y = candidate - x, cand_grad - grad
+        sy = float(np.dot(s, y))
+        step = float(np.dot(s, s)) / sy if sy > 0.0 else 2.0 * step
         x, loss, grad = candidate, cand_loss, cand_grad
-        trace.append(float(loss))
-        step *= 2.0
+        recent.append(float(loss))
         gnorm2 = float(np.dot(grad, grad))
+        lowest = trace[-1]
+        flat = lowest - loss <= STALL_ULPS * np.spacing(abs(lowest))
+        if loss < lowest:
+            low_x, low_gnorm2 = x, gnorm2
+        trace.append(min(lowest, float(loss)))
         if gnorm2 < best_gnorm2:
             best_x, best_gnorm2 = x, gnorm2
             flat_steps = 0
@@ -239,6 +263,9 @@ def minimize(fun, x0: np.ndarray, config: OptimizerConfig | None = None) -> Opti
         # On the float floor the loss no longer ranks iterates; the
         # gradient norm still does.
         x, gnorm2 = best_x, best_gnorm2
+    elif stop_reason == "max_iter":
+        # A rising step may have been the last one accepted.
+        x, gnorm2 = low_x, low_gnorm2
     return OptimizeResult(
         x=x,
         trace=np.asarray(trace),

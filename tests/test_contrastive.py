@@ -242,7 +242,7 @@ def test_sgns_negative_exponent_reweights():
 # ----------------------------------------------------------- pair processes
 
 
-def test_pair_process_identities():
+def test_pair_process_identities_toy():
     proc = _toy_process(n=4, stay=0.6)
     # joint is symmetric, sums to one, marginal matches row sums
     np.testing.assert_array_equal(proc.p_plus, proc.p_plus.T)

@@ -3,6 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kernelcontrast.contrastive import corpus_stats, shifted_pmi_matrix, train_sgns
+from kernelcontrast.eigenfunctions import train_eigenfunctions
 from kernelcontrast.encoders import (
     DivergenceError,
     EmbeddingTable,
@@ -14,6 +16,7 @@ from kernelcontrast.encoders import (
     softmax,
     softplus,
 )
+from kernelcontrast.kernels import gaussian_kernel, gram, mercer_decompose
 from kernelcontrast.rng import Stream
 
 
@@ -132,15 +135,18 @@ def test_minimize_quadratic_reaches_analytic_optimum():
 
 def test_minimize_stalls_at_the_float_floor_of_an_offset_loss():
     """1 + (x - c)' A (x - c) flattens at 1 long before the gradient reaches
-    a tolerance of 1e-14, so the run ends as stalled, close to c."""
-    a = np.array([[3.0, 1.0], [1.0, 2.0]])
-    c = np.array([1.5, -0.5])
+    a tolerance of 1e-14, so the run ends as stalled, close to c. A's
+    curvatures span 4 decades in a rotated basis, so that BB steps need
+    hundreds of iterations rather than solving the quadratic outright."""
+    q, _ = np.linalg.qr(np.random.default_rng(1).normal(size=(20, 20)))
+    a = (q * np.repeat(10.0 ** np.arange(5), 4)) @ q.T
+    c = np.linspace(-1.0, 1.0, 20)
 
     def fun(x):
         d = x - c
         return 1.0 + float(d @ a @ d), 2.0 * a @ d
 
-    fit = minimize(fun, np.zeros(2), OptimizerConfig(tol=1e-14, max_iter=10000))
+    fit = minimize(fun, np.zeros(20), OptimizerConfig(tol=1e-14, max_iter=10000))
     assert fit.stop_reason == "stalled"
     assert fit.iterations < 1000
     assert fit.grad_norm > 1e-14
@@ -249,3 +255,58 @@ def test_minimize_tiny_budget_stops_as_max_iter():
     assert fit.stop_reason == "max_iter"
     assert fit.iterations == 3 and len(fit.trace) == 4
     assert fit.grad_norm > OptimizerConfig().tol
+
+
+def test_minimize_accepts_a_rising_step_but_returns_the_lowest_loss():
+    """BB steps on an ill-conditioned quadratic raise the loss at times, and
+    the nonmonotone line search accepts them. The trace still records the
+    lowest loss so far, and a run cut at max_iter returns that iterate."""
+    scale = np.array([1.0, 10.0, 100.0])
+    losses = []
+
+    def fun(x):
+        losses.append(0.5 * float(x @ (scale * x)))
+        return losses[-1], scale * x
+
+    fit = minimize(fun, np.ones(3), OptimizerConfig(max_iter=7, tol=0.0))
+    assert fit.stop_reason == "max_iter"
+    assert np.all(np.diff(fit.trace) <= 0.0)
+    # the run's last call is its last accepted iterate, which rose above the low
+    assert fit.trace[-1] == fit.trace[-2] < losses[-1]
+    loss, grad = fun(fit.x)
+    assert loss == fit.trace[-1]
+    assert fit.grad_norm == np.sqrt(np.dot(grad, grad))
+
+
+# ------------------------------------------------- the optimizer in trainers
+
+
+def test_eigenfunction_stages_keep_their_scale():
+    """The stage loss is scale-invariant and its gradient shrinks as the
+    candidate grows, so without its scale term BB steps could meet tol by
+    inflating the candidate instead of converging, as the third stage of
+    `kc verify eigenfun --seed 5` did."""
+    seed = 5
+    pts = np.sort(Stream(seed).uniform(8, 0.0, 4.0))[:, None]
+    table = gram(gaussian_kernel(1.0), pts)
+    weights = np.full(8, 1.0 / 8.0)
+    cfg = OptimizerConfig(seed=seed, tol=1e-12, max_iter=40000)
+    result = train_eigenfunctions(table, weights, d=3, config=cfg)
+    eigenvalues, _ = mercer_decompose(table, weights)
+    for j, fit in enumerate(result.fits):
+        assert 0.5 <= float(fit.x @ (weights * fit.x)) <= 2.0, j
+        assert abs(result.estimates[j] - eigenvalues[j]) <= 1e-12, j
+
+
+def test_preconditioned_sgns_converges_within_the_cli_budget():
+    """A Zipf corpus weights word rows by their counts, which spans a decade
+    here; the count-based preconditioner evens that out, so training stops
+    converged well inside 2,000 iterations and lands on shifted PMI."""
+    rng = np.random.default_rng(0)
+    zipf = 1.0 / np.arange(1, 13)
+    tokens = rng.choice(12, size=20_000, p=zipf / zipf.sum())
+    stats = corpus_stats([f"w{t:02d}" for t in tokens], window=2)
+    phi, psi = train_sgns(stats, 12, 4.0, config=OptimizerConfig(max_iter=2000))
+    assert phi.fits[0].stop_reason != "max_iter"
+    gap = np.abs(phi.rows @ psi.rows.T - shifted_pmi_matrix(stats, 4.0)).max()
+    assert gap <= 1e-8

@@ -20,7 +20,12 @@ and makes the one `minimize` call, `_logistic_loss_grad` is the weighted
 logistic loss and `_shift` the activation offset. The per-trainer bodies
 and the two loss functions that each wrote those out for themselves live
 on below, and the library must agree with them bit for bit: the tables and
-each fit's path (x, trace, iterations, evaluations, stop reason).
+each fit's path (x, trace, iterations, evaluations, stop reason). The
+weighted logistic loss computes both softplus terms and the sigmoid from one
+softplus(-|z|) and one exp(-|z|), and must equal the separate `softplus` and
+`sigmoid` calls of the loop bodies bit for bit on every logit, the edge
+cases included. `train_sgns` trains count-preconditioned tables, and its
+loop body below takes the same change of variables.
 
 Every symmetric table is a plain ndarray that `as_sym_array` checked and
 mirrored. The `SymMatrix` wrapper whose constructor did that lives on
@@ -494,19 +499,24 @@ def _loop_train_sgns(stats, d, k, cfg, activation, neg_exponent):
     phi0 = EmbeddingTable.random(n, d, cfg.seed)
     psi0 = EmbeddingTable.random(n, d, cfg.seed + 1)
     split = n * d
+    q = _negative_distribution(stats, neg_exponent)
+    curvature = (stats.counts + k * np.outer(stats.counts.sum(axis=1), q)) / 4.0
+    row = 1.0 / np.sqrt(curvature.sum(axis=1))[:, None]
+    col = 1.0 / np.sqrt(curvature.sum(axis=0))[:, None]
 
     def objective(flat):
-        phi_rows = flat[:split].reshape(n, d)
-        psi_rows = flat[split:].reshape(n, d)
+        phi_rows = flat[:split].reshape(n, d) * row
+        psi_rows = flat[split:].reshape(n, d) * col
         loss, dphi, dpsi = _loop_sgns_loss_grad(
             phi_rows, psi_rows, stats, k, activation, neg_exponent
         )
-        return loss, np.concatenate((dphi.reshape(-1), dpsi.reshape(-1)))
+        return loss, np.concatenate(((dphi * row).reshape(-1), (dpsi * col).reshape(-1)))
 
-    fit = minimize(objective, np.concatenate((phi0.flat(), psi0.flat())), cfg)
+    u0, v0 = phi0.rows / row, psi0.rows / col
+    fit = minimize(objective, np.concatenate((u0.reshape(-1), v0.reshape(-1))), cfg)
     return (
-        EmbeddingTable(fit.x[:split].reshape(n, d), fits=(fit,)),
-        EmbeddingTable(fit.x[split:].reshape(n, d), fits=(fit,)),
+        EmbeddingTable(fit.x[:split].reshape(n, d) * row, fits=(fit,)),
+        EmbeddingTable(fit.x[split:].reshape(n, d) * col, fits=(fit,)),
     )
 
 
@@ -633,6 +643,63 @@ def test_sgns_loss_grad_matches_parent(activation, neg_exponent):
     assert got[0] == want[0]
     for g, w in zip(got[1:], want[1:]):
         assert g.tobytes() == w.tobytes()
+
+
+# Logits where the fused kernel's shared softplus(-|z|) and exp(-|z|) meet
+# their edge cases: signed zeros, infinities, a tiny |z| (1e-300), exp
+# overflow (710) and underflow (745.2), and 36.7, near where 1 + e^-|z|
+# rounds to 1.
+_EDGE_LOGITS = np.array([0.0, np.inf, 1e-300, 710.0, 745.2, 36.7])
+_EDGE_LOGITS = np.concatenate((_EDGE_LOGITS, -_EDGE_LOGITS))
+
+
+def _same_bits(call, oracle):
+    """Run both; they must return the same bits and warn alike."""
+    outcomes = []
+    for fn in (call, oracle):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            out = fn()
+        outcomes.append((out, sorted(str(w.message) for w in caught)))
+    (got, got_warned), (want, want_warned) = outcomes
+    assert got_warned == want_warned
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert np.asarray(g).tobytes() == np.asarray(w).tobytes()
+
+
+def _scaled_logits(stream, size):
+    """Logits at magnitudes from 1e-3 to 800, both signs."""
+    for scale in (1e-3, 1e-1, 1.0, 10.0, 36.0, 100.0, 800.0):
+        yield scale * stream.uniform(size, -1.0, 1.0)
+
+
+def test_nce_loss_grad_matches_parent_bit_for_bit_at_the_edges():
+    stream = Stream(23)
+    labels = np.tile([1.0, 0.0], _EDGE_LOGITS.shape[0])
+    scores = np.repeat(_EDGE_LOGITS, 2)  # each edge logit under both labels
+    batches = [scores, *_scaled_logits(stream, 40)]
+    for s in batches:
+        y = labels if s is scores else (stream.uniform(s.shape[0]) < 0.3).astype(float)
+        for k in (0.5, 1.0, 3.0):
+            _same_bits(lambda: nce_loss_grad(s, y, k), lambda: _loop_nce_loss_grad(s, y, k))
+
+
+@pytest.mark.parametrize("activation", ["sigmoid", "k_sigmoid"])
+def test_sgns_loss_grad_matches_parent_bit_for_bit_at_the_edges(activation):
+    n = _CORPUS.space.n
+    stream = Stream(24)
+    # z = phi psi' with one column: each edge logit meets factors +-1, 1/2, 2
+    psi = np.array([[1.0], [-1.0], [0.5], [2.0]])
+    tables = [(chunk[:, None], psi) for chunk in _EDGE_LOGITS.reshape(-1, n)]
+    tables += [(z.reshape(n, 1), stream.uniform(n, -1.0, 1.0).reshape(n, 1))
+               for z in _scaled_logits(stream, n)]
+    for phi, psi_rows in tables:
+        for k in (0.5, 1.0, 3.0):
+            _same_bits(
+                lambda: sgns_loss_grad(phi, psi_rows, _CORPUS, k, activation),
+                lambda: _loop_sgns_loss_grad(phi, psi_rows, _CORPUS, k, activation),
+            )
 
 
 _CFG = OptimizerConfig(seed=5, tol=1e-9, max_iter=3000)
