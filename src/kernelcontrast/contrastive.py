@@ -314,8 +314,13 @@ def sgns_loss_grad(
         raise ValueError("embedding tables must have one row per vocabulary item")
     if phi_rows.shape[1] != psi_rows.shape[1]:
         raise ValueError("target and context tables must share a dimension")
+    return _sgns_core(phi_rows, psi_rows, shift, *_sgns_weights(stats, k, neg_exponent))
+
+
+def _sgns_core(phi_rows, psi_rows, shift, w_pos, w_neg):
+    """`sgns_loss_grad` on checked tables, with the shift and weights given."""
     z = phi_rows @ psi_rows.T - shift
-    loss, dz = _logistic_loss_grad(z, *_sgns_weights(stats, k, neg_exponent))
+    loss, dz = _logistic_loss_grad(z, w_pos, w_neg)
     return float(loss), dz @ psi_rows, dz.T @ phi_rows
 
 
@@ -364,13 +369,13 @@ def train_sgns(
     if d < 1:
         raise ValueError(f"d must be positive, got {d}")
     cfg = config or OptimizerConfig(tol=1e-9, max_iter=20000)
-    _shift(k, activation)  # reject a bad k before it enters the weights
+    shift = _shift(k, activation)  # rejects a bad k before it enters the weights
     w_pos, w_neg = _sgns_weights(stats, k, neg_exponent)
     curvature = (w_pos + w_neg) / 4.0
     scale = 1.0 / np.sqrt(np.stack((curvature.sum(axis=1), curvature.sum(axis=0))))
 
     def objective(phi_rows, psi_rows):
-        return sgns_loss_grad(phi_rows, psi_rows, stats, k, activation, neg_exponent)
+        return _sgns_core(phi_rows, psi_rows, shift, w_pos, w_neg)
 
     phi, psi = _fit_tables(objective, n, d, 2, cfg, scale[:, :, None])
     return phi, psi

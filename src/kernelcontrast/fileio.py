@@ -5,6 +5,12 @@ quoting, and ``#``-prefixed comment lines. Symmetric matrices carry a
 ``# symmetric n=<n>`` first line so readers can validate shape before
 parsing. Corpora are whitespace-separated tokens. Pair processes are
 JSON objects with items, p, and a row-major augment matrix.
+
+A large matrix is formatted on every CPU the process may use, with no
+option: its rows are cut into contiguous blocks and forked children
+format all blocks but the first. The bytes do not depend on the CPU
+count, and every block is formatted before the file is opened, so a
+failure never leaves a partial file.
 """
 
 from __future__ import annotations
@@ -12,6 +18,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import signal
 
 import numpy as np
 
@@ -34,17 +41,108 @@ class ParseError(ValueError):
     """A file failed to parse; the message names the file and location."""
 
 
+# A worker formats at least this many values: below it, forking costs
+# about as much as it saves.
+_VALUES_PER_WORKER = 100_000
+
+
 def _format_row(row: np.ndarray) -> str:
     return ",".join(map(repr, row.tolist()))
 
 
+def _format_block(block: np.ndarray) -> str:
+    return "".join(f"{_format_row(row)}\n" for row in block)
+
+
+def _fork_block(block: np.ndarray) -> tuple:
+    """Fork a child that writes ``block``'s text to a pipe and exits.
+
+    Returns the child's pid and the read end of its pipe. The child never
+    returns: it leaves with ``os._exit``, 0 only once all bytes are sent.
+    """
+    read_end, write_end = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_end)
+        os.close(write_end)
+        raise
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_end)
+            with open(write_end, "wb") as pipe:
+                pipe.write(_format_block(block).encode("ascii"))
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_end)
+    return pid, read_end
+
+
+def _receive(pid: int, read_end: int, rows: int) -> str | None:
+    """Read a child's text to the end of its pipe and reap the child.
+
+    Returns None unless the child exited 0 having sent exactly ``rows``
+    lines; an interrupted read kills the child before reaping it.
+    """
+    try:
+        with open(read_end, "rb") as pipe:
+            data = pipe.read()
+    except BaseException:
+        os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        status = os.waitpid(pid, 0)[1]
+    if os.waitstatus_to_exitcode(status) != 0 or data.count(b"\n") != rows:
+        return None
+    return data.decode("ascii")
+
+
+def _format_blocks(arr: np.ndarray) -> list:
+    """The text of ``arr``'s rows, as one block per worker in row order.
+
+    This process formats the first block; a forked child formats each
+    other block. A block whose child could not be forked, exited non-zero
+    or sent short data is formatted here instead. No child outlives the
+    call.
+    """
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without CPU affinity
+        cpus = 1
+    workers = max(1, min(cpus, arr.shape[0], arr.size // _VALUES_PER_WORKER))
+    cuts = [arr.shape[0] * i // workers for i in range(workers + 1)]
+    blocks = [arr[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
+    children = {}
+    try:
+        for i in range(1, workers):
+            try:
+                children[i] = _fork_block(blocks[i])
+            except OSError:
+                pass
+        text = [_format_block(blocks[0])]
+        for i, block in enumerate(blocks[1:], start=1):
+            child = children.pop(i, None)
+            sent = None if child is None else _receive(*child, len(block))
+            text.append(_format_block(block) if sent is None else sent)
+        return text
+    finally:
+        for pid, read_end in children.values():
+            os.close(read_end)
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
 def save_matrix_csv(path: str, matrix, comments: list | None = None) -> None:
-    """Write a 2-D array as plain CSV with optional leading # comments."""
+    """Write a 2-D array as plain CSV with optional leading # comments.
+
+    A matrix with no rows and no comments is written as one empty line.
+    """
     arr = np.atleast_2d(np.asarray(matrix, dtype=float))
-    lines = [f"# {c}" for c in comments or []]
-    lines.extend(_format_row(row) for row in arr)
+    text = [f"# {c}\n" for c in comments or []] + _format_blocks(arr)
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.writelines(text if any(text) else ["\n"])
 
 
 def load_matrix_csv(path: str) -> np.ndarray:
@@ -128,6 +226,11 @@ def load_process(path: str) -> PairProcess:
     for key in ("items", "p", "augment"):
         if key not in obj:
             raise ParseError(f"{path}: missing field {key!r}")
+    # item names go space-separated into the `# items:` line of CSV outputs
+    for item in obj["items"]:
+        name = str(item)
+        if not name or any(c.isspace() for c in name):
+            raise ParseError(f"{path}: item {name!r} is empty or contains whitespace")
     try:
         space = FiniteSpace(items=list(obj["items"]), p=np.asarray(obj["p"], float))
     except ValueError as exc:

@@ -336,6 +336,21 @@ def test_contrast_bad_process_row_is_error_1(tmp_path, capsys):
     assert "augment row 0" in err and "bad.json" in err
 
 
+@pytest.mark.parametrize("algo", ["infonce", "spectral"])
+@pytest.mark.parametrize("items", [["a\nb", "c", "d", "e"], ["a b", "a", "b", "e"]],
+                         ids=["newline", "space"])
+def test_contrast_rejects_item_names_that_break_the_items_line(tmp_path, capsys, algo, items):
+    """Such a name would split or pad the `# items:` comment of the CSV."""
+    proc = _write_process(tmp_path / "p.json", items=items, p=[0.25] * 4,
+                          augment=np.eye(4).tolist())
+    out = tmp_path / "out"
+    code = main(["contrast", algo, "--process", proc, "--output", str(out / "o.csv")])
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("kc: error:") and "p.json" in err[0]
+    assert not out.exists()
+
+
 def test_contrast_sgns_without_corpus_is_usage_error(tmp_path):
     assert main(["contrast", "sgns", "--output", str(tmp_path / "o.csv")]) == 2
 
@@ -758,3 +773,29 @@ def test_every_run_replays_from_its_manifest(tmp_path):
         assert main(replay) == 0, replay
         assert sorted(_files(out) - before) == written, replay
         assert _contents(written) == original, replay
+
+
+def test_forked_csv_writes_match_one_worker_byte_for_byte(tmp_path, force_csv_workers):
+    """kernel-approx rff and reduce isomap with the CSV writer forced onto
+    three workers write the same CSV, JSON and manifest (minus timestamps)
+    as on one."""
+    roll = str(tmp_path / "roll.csv")
+    assert main(["gen", "swiss-roll", "--n", "40", "--output", roll]) == 0
+    out = tmp_path / "out"
+    runs = [
+        ["kernel-approx", "--method", "rff", "--features", "32", "--input", roll,
+         "--columns", "0,1,2", "--output", str(out / "rff.csv"),
+         "--report", str(out / "rff.json")],
+        ["reduce", "--method", "isomap", "--knn", "8", "--input", roll, "--columns", "0,1,2",
+         "--output", str(out / "iso.csv")],
+    ]
+
+    def outputs():
+        for argv in runs:
+            assert main(argv) == 0
+        return _contents(_files(out))
+
+    one = outputs()
+    forks = force_csv_workers(3)
+    assert outputs() == one
+    assert len(one) == 5 and len(forks) == 4

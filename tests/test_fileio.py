@@ -1,8 +1,13 @@
+import json
+import os
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kernelcontrast import fileio
 from kernelcontrast.contrastive import pair_process
 from kernelcontrast.fileio import (
     ParseError,
@@ -172,3 +177,165 @@ def test_load_process_error_paths(tmp_path):
     )
     with pytest.raises(ParseError, match="sum"):
         load_process(str(path))
+
+
+def test_load_process_rejects_item_names_that_break_the_items_line(tmp_path):
+    path = tmp_path / "p.json"
+    for items, bad in ((["a\nb", "c"], "'a\\nb'"), (["a b", "a"], "'a b'"), (["", "a"], "''")):
+        path.write_text(
+            f'{{"items": {json.dumps(items)}, "p": [0.5, 0.5],'
+            ' "augment": [[1.0, 0.0], [0.0, 1.0]]}'
+        )
+        with pytest.raises(ParseError, match=rf"p\.json: item {re.escape(bad)} is empty"):
+            load_process(str(path))
+
+
+# ------------------------------------------------- the parallel CSV writer
+#
+# Tests force several workers with the `force_csv_workers` fixture
+# (conftest.py); the writer itself has no option for it.
+
+
+@pytest.fixture
+def no_leaks():
+    """The test leaves no child process and no open file descriptor."""
+    fds = len(os.listdir("/proc/self/fd"))
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert len(os.listdir("/proc/self/fd")) == fds
+
+
+def _one_worker_bytes(tmp_path, m, comments):
+    path = tmp_path / "one.csv"
+    save_matrix_csv(str(path), m, comments=comments)
+    return path.read_bytes()
+
+
+def _reference_bytes(m, comments):
+    text = "".join(f"# {c}\n" for c in comments)
+    text += "".join(",".join(repr(float(v)) for v in row) + "\n" for row in m)
+    return (text or "\n").encode()
+
+
+_TINY = np.nextafter(0.0, 1.0)
+_EDGE = np.array([
+    [-0.0, 0.0, _TINY, -_TINY, 2.2250738585072014e-308 / 3.0],
+    [1e308, -1e308, np.nan, np.inf, -np.inf],
+    [0.1, 1.0 / 3.0, 1e-5, 1e16, 123456789.0],
+])
+
+
+@pytest.mark.parametrize("m, cpus, comments, forked", [
+    (Stream(3).normal(21).reshape(7, 3), 3, ["seven rows, three workers"], 2),
+    (Stream(4).normal(10).reshape(2, 5), 4, [], 1),
+    (Stream(5).normal(6).reshape(1, 6), 3, ["one row"], 0),
+    (np.zeros((0, 3)), 2, ["no rows"], 0),
+    (np.zeros((0, 3)), 2, [], 0),
+    (_EDGE, 3, ["edge values"], 2),
+], ids=["uneven-blocks", "more-cpus-than-rows", "one-row", "no-rows", "no-rows-no-comments",
+        "edge-values"])
+def test_parallel_csv_bytes_match_one_worker_and_repr(tmp_path, force_csv_workers, no_leaks,
+                                                      m, cpus, comments, forked):
+    expected = _one_worker_bytes(tmp_path, m, comments)
+    forks = force_csv_workers(cpus)
+    path = tmp_path / "many.csv"
+    save_matrix_csv(str(path), m, comments=comments)
+    assert len(forks) == forked
+    assert path.read_bytes() == expected == _reference_bytes(m, comments)
+
+
+def _only_in_children(monkeypatch, name, child_version):
+    """Replace ``fileio.<name>`` by ``child_version`` in forked children
+    only; this process keeps the real function."""
+    real, parent = getattr(fileio, name), os.getpid()
+
+    def patched(arg):
+        return real(arg) if os.getpid() == parent else child_version(real, arg)
+
+    monkeypatch.setattr(fileio, name, patched)
+
+
+def _raise(real, arg):
+    raise RuntimeError("child failed")
+
+
+@pytest.mark.parametrize("failure", ["fork-raises", "child-raises", "child-exits-1",
+                                     "child-sends-short-data"])
+def test_parallel_csv_falls_back_to_formatting_here(tmp_path, monkeypatch, force_csv_workers,
+                                                    no_leaks, failure):
+    m = Stream(6).normal(40).reshape(8, 5)
+    expected = _one_worker_bytes(tmp_path, m, ["c"])
+    forks = force_csv_workers(4)
+    if failure == "fork-raises":
+        def no_fork():
+            raise OSError("fork refused")
+        monkeypatch.setattr(os, "fork", no_fork)
+    elif failure == "child-raises":
+        _only_in_children(monkeypatch, "_format_row", _raise)
+    elif failure == "child-exits-1":
+        # a full block of wrong text, sent by a child that then exits 1
+        _only_in_children(monkeypatch, "_format_block", lambda real, block: "x\n" * len(block))
+        monkeypatch.setattr(os, "_exit", lambda status, real=os._exit: real(1))
+    else:
+        _only_in_children(monkeypatch, "_format_block", lambda real, block: real(block[:-1]))
+    path = tmp_path / "many.csv"
+    save_matrix_csv(str(path), m, comments=["c"])
+    assert path.read_bytes() == expected
+    assert len(forks) == (0 if failure == "fork-raises" else 3)
+
+
+def test_parallel_csv_failure_in_own_block_leaves_no_child_and_no_file(
+        tmp_path, monkeypatch, force_csv_workers, no_leaks):
+    forks = force_csv_workers(3)
+    parent = os.getpid()
+
+    def failing_here(row):
+        if os.getpid() == parent:
+            raise RuntimeError("parent failed")
+        return ",".join(map(repr, row.tolist()))
+
+    monkeypatch.setattr(fileio, "_format_row", failing_here)
+    path = tmp_path / "m.csv"
+    with pytest.raises(RuntimeError, match="parent failed"):
+        save_matrix_csv(str(path), Stream(7).normal(12).reshape(6, 2))
+    assert len(forks) == 2
+    assert not path.exists()
+
+
+def test_parallel_csv_failure_while_reading_a_child_leaves_no_child(
+        tmp_path, monkeypatch, force_csv_workers, no_leaks):
+    forks = force_csv_workers(3)
+
+    def failing_read(file, mode="r", *args, real=open):
+        if isinstance(file, int) and mode == "rb":
+            os.close(file)
+            raise RuntimeError("read failed")
+        return real(file, mode, *args)
+
+    monkeypatch.setattr(fileio, "open", failing_read, raising=False)
+    path = tmp_path / "m.csv"
+    with pytest.raises(RuntimeError, match="read failed"):
+        save_matrix_csv(str(path), Stream(9).normal(12).reshape(6, 2))
+    assert len(forks) == 2
+    assert not path.exists()
+
+
+def test_csv_stays_on_one_worker_without_the_size_or_the_cpus(tmp_path, monkeypatch,
+                                                              force_csv_workers, no_leaks):
+    """No fork for a small matrix, for one usable CPU, or where the platform
+    has no CPU affinity; the bytes are the same in every case."""
+    m = Stream(8).normal(30).reshape(6, 5)
+    expected = _one_worker_bytes(tmp_path, m, [])
+    forks = force_csv_workers(1)
+    path = tmp_path / "m.csv"
+    save_matrix_csv(str(path), m)
+    assert path.read_bytes() == expected
+    monkeypatch.delattr(os, "sched_getaffinity")
+    save_matrix_csv(str(path), m)
+    assert path.read_bytes() == expected
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+    monkeypatch.setattr(fileio, "_VALUES_PER_WORKER", 100_000)
+    save_matrix_csv(str(path), m)
+    assert path.read_bytes() == expected
+    assert forks == []
