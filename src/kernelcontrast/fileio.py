@@ -9,8 +9,8 @@ JSON objects with items, p, and a row-major augment matrix.
 A large matrix is formatted on every CPU the process may use, with no
 option: its rows are cut into contiguous blocks and forked children
 format all blocks but the first. The bytes do not depend on the CPU
-count, and every block is formatted before the file is opened, so a
-failure never leaves a partial file.
+count. The output is streamed to a temporary file beside the target and
+renamed into place, so a failure never leaves a partial file.
 """
 
 from __future__ import annotations
@@ -80,32 +80,33 @@ def _fork_block(block: np.ndarray) -> tuple:
     return pid, read_end
 
 
-def _receive(pid: int, read_end: int, rows: int) -> str | None:
-    """Read a child's text to the end of its pipe and reap the child.
+def _receive(pid: int, read_end: int, out) -> int | None:
+    """Copy a child's bytes from its pipe to ``out`` and reap the child.
 
-    Returns None unless the child exited 0 having sent exactly ``rows``
-    lines; an interrupted read kills the child before reaping it.
+    Returns the number of lines copied, or None if the child exited
+    non-zero; an interrupted copy kills the child before reaping it.
     """
+    lines = 0
     try:
         with open(read_end, "rb") as pipe:
-            data = pipe.read()
+            for chunk in iter(lambda: pipe.read(65536), b""):
+                out.write(chunk)
+                lines += chunk.count(b"\n")
     except BaseException:
         os.kill(pid, signal.SIGKILL)
         raise
     finally:
         status = os.waitpid(pid, 0)[1]
-    if os.waitstatus_to_exitcode(status) != 0 or data.count(b"\n") != rows:
-        return None
-    return data.decode("ascii")
+    return lines if os.waitstatus_to_exitcode(status) == 0 else None
 
 
-def _format_blocks(arr: np.ndarray) -> list:
-    """The text of ``arr``'s rows, as one block per worker in row order.
+def _write_rows(arr: np.ndarray, fh) -> None:
+    """Write ``arr``'s rows to ``fh``, one block per worker in row order.
 
-    This process formats the first block; a forked child formats each
-    other block. A block whose child could not be forked, exited non-zero
-    or sent short data is formatted here instead. No child outlives the
-    call.
+    This process writes the first block row by row; a forked child formats
+    each other block. A block whose child could not be forked, exited
+    non-zero or sent another line count is cut off and written here
+    instead. No child outlives the call.
     """
     try:
         cpus = len(os.sched_getaffinity(0))
@@ -121,12 +122,15 @@ def _format_blocks(arr: np.ndarray) -> list:
                 children[i] = _fork_block(blocks[i])
             except OSError:
                 pass
-        text = [_format_block(blocks[0])]
+        fh.writelines(f"{_format_row(row)}\n" for row in blocks[0])
         for i, block in enumerate(blocks[1:], start=1):
+            fh.flush()
+            start = fh.buffer.tell()
             child = children.pop(i, None)
-            sent = None if child is None else _receive(*child, len(block))
-            text.append(_format_block(block) if sent is None else sent)
-        return text
+            if child is None or _receive(*child, fh.buffer) != len(block):
+                fh.buffer.seek(start)
+                fh.buffer.truncate()
+                fh.writelines(f"{_format_row(row)}\n" for row in block)
     finally:
         for pid, read_end in children.values():
             os.close(read_end)
@@ -138,11 +142,22 @@ def save_matrix_csv(path: str, matrix, comments: list | None = None) -> None:
     """Write a 2-D array as plain CSV with optional leading # comments.
 
     A matrix with no rows and no comments is written as one empty line.
+    The file (a symlink's target) is replaced by a new one of default mode.
     """
     arr = np.atleast_2d(np.asarray(matrix, dtype=float))
-    text = [f"# {c}\n" for c in comments or []] + _format_blocks(arr)
-    with open(path, "w") as fh:
-        fh.writelines(text if any(text) else ["\n"])
+    path = os.path.realpath(path)
+    tmp = f"{path}.{os.urandom(6).hex()}.tmp"
+    fh = open(tmp, "x")
+    try:
+        with fh:
+            fh.writelines(f"# {c}\n" for c in comments or [])
+            _write_rows(arr, fh)
+            if fh.tell() == 0:
+                fh.write("\n")
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise
 
 
 def load_matrix_csv(path: str) -> np.ndarray:

@@ -158,5 +158,10 @@ def rff_features(model: RffModel, x) -> np.ndarray:
     n0 = model.frequencies.shape[1]
     if x.ndim not in (1, 2) or x.shape[-1] != n0:
         raise ValueError(f"points have shape {x.shape}, expected ({n0},) or (m, {n0})")
+    d = model.n_features
     t = x @ model.frequencies.T
-    return np.concatenate((np.cos(t), np.sin(t)), axis=-1) / np.sqrt(model.n_features)
+    out = np.empty(t.shape[:-1] + (2 * d,))
+    np.cos(t, out=out[..., :d])
+    np.sin(t, out=out[..., d:])
+    out /= np.sqrt(d)
+    return out

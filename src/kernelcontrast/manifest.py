@@ -2,7 +2,8 @@
 
 Every run that writes an output also writes a RunManifest JSON next to
 it: tool version, the subcommand and its flags, a hash of the flags,
-sha256 digests of the inputs, the seed, a metric map, and one record per
+sha256 digests of the inputs (a kc manifest given as input is hashed
+without its timestamps), the seed, a metric map, and one record per
 optimizer run (stop reason, iterations, evaluations, final gradient norm;
 empty for commands that train nothing). The CLI passes as flags the
 resolved value of every option of the subcommand (null where the run's
@@ -36,6 +37,22 @@ def sha256_file(path: str) -> str:
         for chunk in iter(lambda: fh.read(65536), b""):
             digest.update(chunk)
     return digest.hexdigest()
+
+
+def _input_digest(path: str) -> str:
+    """sha256 of an input file. A kc manifest is hashed as its canonical JSON
+    without ``timestamps``, so two identical runs record the same digest."""
+    with open(path, "rb") as fh:
+        is_json = fh.read(1) == b"{"
+    try:
+        obj = load_manifest(path) if is_json else None
+    except ValueError:
+        obj = None
+    if not (obj and obj.get("tool") == "kc" and "timestamps" in obj):
+        return sha256_file(path)
+    del obj["timestamps"]
+    canon = json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    return hashlib.sha256(canon.encode()).hexdigest()
 
 
 def config_hash(settings: dict) -> str:
@@ -78,7 +95,7 @@ def make_manifest(
         subcommand=subcommand,
         flags={k: _jsonable(v) for k, v in sorted(flags.items())},
         config_digest=config_hash({k: v for k, v in flags.items() if v is not None}),
-        inputs={p: sha256_file(p) for p in sorted(set(input_paths))},
+        inputs={p: _input_digest(p) for p in sorted(set(input_paths))},
         seed=int(seed),
         metrics={k: _jsonable(v) for k, v in metrics.items()},
         timestamps={"started": started, "finished": finished},

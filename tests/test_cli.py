@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import warnings
@@ -537,6 +538,48 @@ def test_report_summarizes_manifests_and_plots(tmp_path):
         svg = open(os.path.join(outdir, name)).read()
         assert svg.startswith("<svg")
         assert "<polyline" in svg or "<circle" in svg
+
+
+def test_report_manifest_is_reproducible_without_timestamps(tmp_path):
+    """A kc manifest given as input is hashed without its timestamps, so two
+    identical passes write report manifests that differ only in theirs."""
+    roll = str(tmp_path / "roll.csv")
+    outdir = str(tmp_path / "report")
+    raw, reports = [], []
+    for _ in range(2):
+        assert main(["gen", "swiss-roll", "--n", "25", "--output", roll]) == 0
+        assert main(["report", "--manifests", roll + ".manifest.json",
+                     "--outdir", outdir]) == 0
+        raw.append(open(roll + ".manifest.json", "rb").read())
+        reports.append(load_manifest(os.path.join(outdir, "report.manifest.json")))
+        del reports[-1]["timestamps"]
+    assert raw[0] != raw[1]
+    assert reports[0] == reports[1]
+    gen = load_manifest(roll + ".manifest.json")
+    del gen["timestamps"]
+    canon = json.dumps(gen, sort_keys=True, indent=2) + "\n"
+    digest = reports[0]["inputs"][roll + ".manifest.json"]
+    assert digest == hashlib.sha256(canon.encode()).hexdigest()
+
+    gen["metrics"]["rows"] += 1
+    with open(roll + ".manifest.json", "w") as fh:
+        fh.write(json.dumps(dict(gen, timestamps={}), sort_keys=True, indent=2) + "\n")
+    assert main(["report", "--manifests", roll + ".manifest.json", "--outdir", outdir]) == 0
+    changed = load_manifest(os.path.join(outdir, "report.manifest.json"))
+    assert changed["inputs"][roll + ".manifest.json"] != digest
+
+
+def test_non_manifest_inputs_keep_their_file_digest(tmp_path):
+    proc = _write_process(tmp_path / "p.json", **TWO_STATE)
+    roll = str(tmp_path / "roll.csv")
+    assert main(["gen", "swiss-roll", "--n", "25", "--output", roll]) == 0
+    out = str(tmp_path / "emb.csv")
+    assert main(["reduce", "--method", "pca", "--input", roll, "--output", out]) == 0
+    assert main(["analyze", "conductance", "--process", proc, "--subset", "0",
+                 "--output", str(tmp_path / "cond.json")]) == 0
+    for manifest, path in ((out, roll), (str(tmp_path / "cond.json"), proc)):
+        digest = load_manifest(manifest + ".manifest.json")["inputs"][path]
+        assert digest == hashlib.sha256(open(path, "rb").read()).hexdigest()
 
 
 # ------------------------------------------------- resolved options, replay

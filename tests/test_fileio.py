@@ -1,6 +1,8 @@
 import json
 import os
 import re
+import stat
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kernelcontrast import fileio
+from kernelcontrast.cli import main
 from kernelcontrast.contrastive import pair_process
 from kernelcontrast.fileio import (
     ParseError,
@@ -301,6 +304,7 @@ def test_parallel_csv_failure_in_own_block_leaves_no_child_and_no_file(
         save_matrix_csv(str(path), Stream(7).normal(12).reshape(6, 2))
     assert len(forks) == 2
     assert not path.exists()
+    assert os.listdir(tmp_path) == []
 
 
 def test_parallel_csv_failure_while_reading_a_child_leaves_no_child(
@@ -319,6 +323,7 @@ def test_parallel_csv_failure_while_reading_a_child_leaves_no_child(
         save_matrix_csv(str(path), Stream(9).normal(12).reshape(6, 2))
     assert len(forks) == 2
     assert not path.exists()
+    assert os.listdir(tmp_path) == []
 
 
 def test_csv_stays_on_one_worker_without_the_size_or_the_cpus(tmp_path, monkeypatch,
@@ -339,3 +344,95 @@ def test_csv_stays_on_one_worker_without_the_size_or_the_cpus(tmp_path, monkeypa
     save_matrix_csv(str(path), m)
     assert path.read_bytes() == expected
     assert forks == []
+
+
+# ------------------------------------------------ the streamed, replaced file
+
+
+def test_parallel_csv_streams_instead_of_holding_the_file(tmp_path, force_csv_workers,
+                                                         no_leaks):
+    """This process holds a row or a pipe chunk at a time, never a block's
+    text: its traced peak stays below a tenth of the file."""
+    m = Stream(10).normal(2000 * 400).reshape(2000, 400)
+    forks = force_csv_workers(2)
+    path = tmp_path / "m.csv"
+    tracemalloc.start()
+    try:
+        save_matrix_csv(str(path), m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(forks) == 1
+    assert peak < path.stat().st_size / 10
+
+
+def test_failed_write_keeps_an_existing_file(tmp_path, monkeypatch, force_csv_workers,
+                                             no_leaks):
+    path = tmp_path / "m.csv"
+    path.write_bytes(b"1.0,2.0\n")
+    force_csv_workers(3)
+
+    def failing(row):
+        raise RuntimeError("format failed")
+
+    monkeypatch.setattr(fileio, "_format_row", failing)
+    with pytest.raises(RuntimeError, match="format failed"):
+        save_matrix_csv(str(path), Stream(11).normal(12).reshape(6, 2))
+    assert path.read_bytes() == b"1.0,2.0\n"
+    assert os.listdir(tmp_path) == ["m.csv"]
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o027, 0o077])
+def test_new_csv_gets_the_mode_of_a_plain_open(tmp_path, umask):
+    old = os.umask(umask)
+    try:
+        save_matrix_csv(str(tmp_path / "m.csv"), np.eye(2))
+        with open(tmp_path / "plain.csv", "w"):
+            pass
+    finally:
+        os.umask(old)
+    mode = stat.S_IMODE((tmp_path / "m.csv").stat().st_mode)
+    assert mode == 0o666 & ~umask == stat.S_IMODE((tmp_path / "plain.csv").stat().st_mode)
+
+
+def test_csv_through_a_symlink_updates_its_target(tmp_path, force_csv_workers, no_leaks):
+    target = tmp_path / "data" / "real.csv"
+    target.parent.mkdir()
+    target.write_text("old\n")
+    link = tmp_path / "link.csv"
+    link.symlink_to(target)
+    m = Stream(12).normal(12).reshape(4, 3)
+    force_csv_workers(2)
+    save_matrix_csv(str(link), m, comments=["via link"])
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    assert target.read_bytes() == _reference_bytes(m, ["via link"])
+    assert sorted(os.listdir(tmp_path)) == ["data", "link.csv"]
+    assert os.listdir(target.parent) == ["real.csv"]
+
+
+def test_directory_as_output_is_error_1_without_a_temporary_file(tmp_path, capsys):
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(["gen", "swiss-roll", "--n", "30", "--output", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("kc: error: ") and err.count("\n") == 1
+    assert os.listdir(tmp_path) == ["out"]
+    assert os.listdir(out) == []
+
+
+def test_non_ascii_comment_bytes_match_a_plain_text_write(tmp_path, force_csv_workers,
+                                                         no_leaks):
+    """Comments are encoded as ``open(path, "w")`` encodes them, also ahead
+    of bytes copied from a child."""
+    m = Stream(13).normal(18).reshape(6, 3)
+    comments = ["items: \u00e9t\u00e9 \u03b1\u03b2 \u6f22\u5b57"]
+    reference = tmp_path / "reference.csv"
+    with open(reference, "w") as fh:
+        fh.write(f"# {comments[0]}\n" + _reference_bytes(m, []).decode())
+    expected = reference.read_bytes()
+    for cpus in (1, 3):
+        forks = force_csv_workers(cpus)
+        path = tmp_path / f"m{cpus}.csv"
+        save_matrix_csv(str(path), m, comments=comments)
+        assert len(forks) == cpus - 1
+        assert path.read_bytes() == expected

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -206,6 +208,39 @@ def test_rff_batch_rows_equal_single_points():
     # phases w.x differs, a few ulps of |w.x| <= ~20.
     for row, x in zip(feats, batch):
         np.testing.assert_allclose(row, rff_features(model, x), rtol=0, atol=1e-14)
+
+
+def _concatenated_rff(model, x):
+    """The feature map as one concatenation and one division."""
+    t = np.asarray(x, dtype=float) @ model.frequencies.T
+    return np.concatenate((np.cos(t), np.sin(t)), axis=-1) / np.sqrt(model.n_features)
+
+
+@pytest.mark.parametrize("d, n0, x", [
+    (64, 3, Stream(14).normal(3)),
+    (300, 2, Stream(15).normal(2 * 37).reshape(37, 2)),
+    (500, 2, np.array([[0.0, 0.0], [np.sqrt(2.0 * np.log(2.0)), 0.0]])),
+], ids=["one-point", "batch", "verify-pair"])
+def test_rff_in_place_map_is_bit_identical_to_concatenation(d, n0, x):
+    model = rff_sample(sigma2=1.0, d=d, n0=n0, seed=16)
+    feats = rff_features(model, x)
+    expected = _concatenated_rff(model, x)
+    assert feats.shape == expected.shape and feats.dtype == expected.dtype
+    assert feats.tobytes() == expected.tobytes()
+
+
+def test_rff_features_hold_one_output_and_the_phases():
+    """Peak traced memory is the output plus the phases w.x, half its size;
+    the concatenation held cos, sin, their join and the quotient."""
+    model = rff_sample(sigma2=1.0, d=2000, n0=2, seed=17)
+    x = Stream(18).normal(400).reshape(200, 2)
+    tracemalloc.start()
+    try:
+        feats = rff_features(model, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.75 * feats.nbytes
 
 
 def test_rff_rejects_bad_batch_shapes():
