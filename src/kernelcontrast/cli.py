@@ -25,6 +25,7 @@ import argparse
 import configparser
 import dataclasses
 import json
+import math
 import os
 import sys
 import time
@@ -50,7 +51,7 @@ from .contrastive import (
     train_spectral,
 )
 from .eigenfunctions import train_eigenfunctions
-from .encoders import OptimizerConfig, sigmoid
+from .encoders import OptimizerConfig
 from .fileio import (
     ParseError,
     ensure_parent,
@@ -78,7 +79,7 @@ from .manifold import (
     swiss_roll,
 )
 from .manifest import load_manifest, make_manifest, write_manifest
-from .svgplot import line_chart, scatter_panels
+from .svgplot import line_chart
 from .verify import UnknownSuiteError, run_suite
 
 
@@ -557,40 +558,31 @@ def _verify(v) -> _Outcome:
 
 def _report(v) -> _Outcome:
     os.makedirs(v.outdir, exist_ok=True)
-    rows = []
-    for path in v.manifests:
+    rows, series = [], {}  # series: metric -> [(manifest position, log10 |value|)]
+    for position, path in enumerate(sorted(v.manifests)):
         data = load_manifest(path)
         for name in sorted(data.get("metrics", {})):
-            rows.append(
-                (path, data.get("subcommand", "?"), data.get("seed", 0), name,
-                 data["metrics"][name])
-            )
+            value = data["metrics"][name]
+            rows.append((path, data.get("subcommand", "?"), data.get("seed", 0), name, value))
+            # 0, non-finite and non-numeric values have no place on a log axis
+            if type(value) in (int, float) and value != 0:
+                magnitude = math.log10(abs(value))
+                if math.isfinite(magnitude):
+                    series.setdefault(name, []).append((position, magnitude))
     summary = os.path.join(v.outdir, "summary.csv")
     with open(summary, "w") as fh:
         fh.write("# manifest,subcommand,seed,metric,value\n")
         for path, cmd, mseed, name, value in sorted(rows):
             fh.write(f"{path},{cmd},{mseed},{name},{value!r}\n")
-
-    z = np.linspace(-6.0, 6.0, 121)
-    series = []
-    for k in (0.5, 1.0, 2.0, 4.0):
-        series.append((f"k={k:g}", z, sigmoid(z - np.log(k))))
-    line_chart(
-        os.path.join(v.outdir, "sigmoid_family.svg"),
-        series,
-        "shifted sigmoids over scores",
-    )
-
-    data, latent = swiss_roll(200, noise=0.0, seed=v.seed)
-    emb = isomap(data, 2, knn=8)
-    scatter_panels(
-        os.path.join(v.outdir, "swissroll_isomap.svg"),
-        [
-            ("swiss roll, face-on", data[:, [0, 2]], latent[:, 0]),
-            ("isomap embedding", emb, latent[:, 0]),
-        ],
-    )
-    return _Outcome(f"wrote {summary} and 2 plots to {v.outdir}", {"rows": len(rows)})
+    message = f"wrote {summary} to {v.outdir}; no finite nonzero metric to plot"
+    if series:
+        line_chart(
+            os.path.join(v.outdir, "metrics.svg"),
+            [(name, *zip(*points)) for name, points in sorted(series.items())],
+            "log10 |metric| by manifest",
+        )
+        message = f"wrote {summary} and 1 plot to {v.outdir}"
+    return _Outcome(message, {"rows": len(rows)})
 
 
 # ---------------------------------------------------------------------------
@@ -673,7 +665,7 @@ _COMMANDS = {
         _SEED,
         _Opt("--output", help="write the JSON report here"),
     )),
-    "report": _Command("summarize manifests, emit plots", _report, (
+    "report": _Command("summarize manifests, chart their metrics", _report, (
         _Opt("--manifests", fixed=True, nargs="+", hashed=True),
         _Opt("--outdir", required=True),
         _SEED,

@@ -825,34 +825,20 @@ class ProbeTask:
             )
 
 
-def linear_probe_error(
-    phi: EmbeddingTable,
-    task: ProbeTask,
-    p,
-    config: OptimizerConfig | None = None,
-) -> float:
-    """p-weighted error of a linear softmax classifier on the embeddings.
+def linear_probe_error(phi: EmbeddingTable, task: ProbeTask, p) -> float:
+    """p-weighted error of the least-squares linear probe on the embeddings.
 
-    The classifier is trained by the package optimizer on the p-weighted
-    cross-entropy, then scored by argmax. Because training is a surrogate
-    for the definition's exact minimization over weight matrices, the
-    returned value is an upper bound on the true linear probing error.
+    W minimizes sum_i p_i ||W^T phi_i - e_{y_i}||^2 with minimum norm, the
+    probe of the HaoChen et al. (2021) bound, in closed form; the result is
+    the p-mass of the items whose argmax phi_i^T W is not their label.
     """
     p = np.asarray(p, dtype=float)
-    n, d = phi.rows.shape
+    n = phi.rows.shape[0]
     if task.labels.shape[0] != n or p.shape[0] != n:
         raise ValueError("embeddings, labels, and weights must share length")
-    c = task.n_classes
-    onehot = np.zeros((n, c))
+    onehot = np.zeros((n, task.n_classes))
     onehot[np.arange(n), task.labels] = 1.0
-    cfg = config or OptimizerConfig(tol=1e-8, max_iter=5000)
-
-    def objective(w):
-        probs = softmax(phi.rows @ w.T)
-        safe = np.maximum(probs[np.arange(n), task.labels], 1e-300)
-        loss = float(-(p * np.log(safe)).sum())
-        return loss, ((probs - onehot) * p[:, None]).T @ phi.rows
-
-    (w,) = _fit_tables(objective, c, d, 1, cfg)
-    predicted = np.argmax(phi.rows @ w.rows.T, axis=1)
+    root = np.sqrt(p)[:, None]
+    w = np.linalg.lstsq(root * phi.rows, root * onehot, rcond=None)[0]
+    predicted = np.argmax(phi.rows @ w, axis=1)
     return float(p[predicted != task.labels].sum())

@@ -8,13 +8,17 @@ JSON objects with items, p, and a row-major augment matrix.
 
 A large matrix is formatted on every CPU the process may use, with no
 option: its rows are cut into contiguous blocks and forked children
-format all blocks but the first. The bytes do not depend on the CPU
-count. The output is streamed to a temporary file beside the target and
-renamed into place, so a failure never leaves a partial file.
+format all blocks but the first, each in full before writing it. The
+bytes do not depend on the CPU count. The output is streamed to a
+temporary file beside the target and renamed into place, so a failure
+never leaves a partial file. On Python >= 3.12 `os.fork` warns
+(DeprecationWarning) once BLAS has started threads; the writer has only
+been run on 3.11, so that warning is unverified.
 """
 
 from __future__ import annotations
 
+import errno
 import json
 import math
 import os
@@ -50,8 +54,8 @@ def _format_row(row: np.ndarray) -> str:
     return ",".join(map(repr, row.tolist()))
 
 
-def _format_block(block: np.ndarray) -> str:
-    return "".join(f"{_format_row(row)}\n" for row in block)
+def _format_block(block: np.ndarray):
+    return (f"{_format_row(row)}\n" for row in block)
 
 
 def _fork_block(block: np.ndarray) -> tuple:
@@ -71,8 +75,11 @@ def _fork_block(block: np.ndarray) -> tuple:
         status = 1
         try:
             os.close(read_end)
+            # The whole block first: the parent reads this pipe only after its
+            # own block, so a child writing row by row would stall on a full pipe.
+            lines = [line.encode("ascii") for line in _format_block(block)]
             with open(write_end, "wb") as pipe:
-                pipe.write(_format_block(block).encode("ascii"))
+                pipe.writelines(lines)
             status = 0
         finally:
             os._exit(status)
@@ -122,7 +129,7 @@ def _write_rows(arr: np.ndarray, fh) -> None:
                 children[i] = _fork_block(blocks[i])
             except OSError:
                 pass
-        fh.writelines(f"{_format_row(row)}\n" for row in blocks[0])
+        fh.writelines(_format_block(blocks[0]))
         for i, block in enumerate(blocks[1:], start=1):
             fh.flush()
             start = fh.buffer.tell()
@@ -130,7 +137,7 @@ def _write_rows(arr: np.ndarray, fh) -> None:
             if child is None or _receive(*child, fh.buffer) != len(block):
                 fh.buffer.seek(start)
                 fh.buffer.truncate()
-                fh.writelines(f"{_format_row(row)}\n" for row in block)
+                fh.writelines(_format_block(block))
     finally:
         for pid, read_end in children.values():
             os.close(read_end)
@@ -146,6 +153,8 @@ def save_matrix_csv(path: str, matrix, comments: list | None = None) -> None:
     """
     arr = np.atleast_2d(np.asarray(matrix, dtype=float))
     path = os.path.realpath(path)
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
     tmp = f"{path}.{os.urandom(6).hex()}.tmp"
     fh = open(tmp, "x")
     try:

@@ -2,15 +2,17 @@
 
 Hand-rolled on purpose: the report command must produce byte-identical
 files across runs, so every coordinate goes through a fixed %.2f format
-and nothing depends on system fonts or a plotting backend. Only the two
-chart shapes the CLI needs are provided (line chart, scatter panels).
+and nothing depends on system fonts or a plotting backend. There is one
+chart shape, the line chart `kc report` draws its metrics on. Each point
+also gets a small circle: a metric that only one manifest reports is a
+one-point series, and a one-point polyline draws nothing.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["line_chart", "scatter_panels", "PALETTE"]
+__all__ = ["line_chart", "PALETTE"]
 
 PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
 
@@ -90,7 +92,8 @@ def _document(body: list) -> str:
 
 
 def line_chart(path: str, series, title: str) -> None:
-    """Plot (label, xs, ys) series as polylines with a small legend."""
+    """Plot (label, xs, ys) series as polylines with point markers and a
+    small legend."""
     if not series:
         raise ValueError("line_chart needs at least one series")
     xlim = _limits([np.asarray(xs, float) for _, xs, _ in series])
@@ -107,13 +110,15 @@ def line_chart(path: str, series, title: str) -> None:
     ax.frame(body, title)
     for idx, (label, xs, ys) in enumerate(series):
         color = PALETTE[idx % len(PALETTE)]
-        points = " ".join(
-            f"{_fmt(ax.px(float(x)))},{_fmt(ax.py(float(y)))}"
-            for x, y in zip(np.asarray(xs, float), np.asarray(ys, float))
-        )
+        points = [
+            (_fmt(ax.px(x)), _fmt(ax.py(y)))
+            for x, y in zip(np.asarray(xs, float).tolist(), np.asarray(ys, float).tolist())
+        ]
         body.append(
-            f'<polyline points="{points}" fill="none" stroke="{color}" stroke-width="1.5"/>'
+            f'<polyline points="{" ".join(f"{x},{y}" for x, y in points)}" '
+            f'fill="none" stroke="{color}" stroke-width="1.5"/>'
         )
+        body.extend(f'<circle cx="{x}" cy="{y}" r="2.50" fill="{color}"/>' for x, y in points)
         ly = ax.y0 + 14 + 14 * idx
         lx = ax.x0 + ax.width - 150
         body.append(
@@ -124,45 +129,5 @@ def line_chart(path: str, series, title: str) -> None:
             f'<text x="{_fmt(lx + 24)}" y="{_fmt(ly)}" font-family="monospace" '
             f'font-size="11" fill="#222222">{_esc(label)}</text>'
         )
-    with open(path, "w") as fh:
-        fh.write(_document(body) + "\n")
-
-
-def scatter_panels(path: str, panels) -> None:
-    """Draw side-by-side scatter panels.
-
-    Each panel is (title, points, colors) where points is an (n, 2)
-    array and colors an array of values mapped onto a blue-to-red ramp,
-    so the same latent coordinate can be traced across panels.
-    """
-    if not panels:
-        raise ValueError("scatter_panels needs at least one panel")
-    count = len(panels)
-    gap = 24.0
-    panel_w = (_W - _MARGIN["left"] - _MARGIN["right"] - gap * (count - 1)) / count
-    body: list = []
-    for idx, (title, points, colors) in enumerate(panels):
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        if pts.shape[1] != 2:
-            raise ValueError(f"panel {idx}: points must be (n, 2), got {pts.shape}")
-        cvals = np.asarray(colors, dtype=float)
-        crange = float(cvals.max() - cvals.min())
-        cnorm = (cvals - cvals.min()) / (crange if crange > 0 else 1.0)
-        ax = _Axes(
-            _MARGIN["left"] + idx * (panel_w + gap),
-            _MARGIN["top"],
-            panel_w,
-            _H - _MARGIN["top"] - _MARGIN["bottom"],
-            _limits([pts[:, 0]]),
-            _limits([pts[:, 1]]),
-        )
-        ax.frame(body, title)
-        for (x, y), c in zip(pts, cnorm):
-            r = int(round(40 + 180 * c))
-            b = int(round(220 - 180 * c))
-            body.append(
-                f'<circle cx="{_fmt(ax.px(x))}" cy="{_fmt(ax.py(y))}" r="2.20" '
-                f'fill="rgb({r},70,{b})" fill-opacity="0.85"/>'
-            )
     with open(path, "w") as fh:
         fh.write(_document(body) + "\n")

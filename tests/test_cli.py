@@ -526,18 +526,80 @@ def test_verify_unknown_suite_is_usage_error(capsys):
 # ------------------------------------------------------------------ report
 
 
-def test_report_summarizes_manifests_and_plots(tmp_path):
+def _report_inputs(tmp_path) -> list:
+    """Manifests of a 25-point roll, its PCA and its 3-d MDS."""
     roll = str(tmp_path / "roll.csv")
+    red = ["reduce", "--input", roll, "--columns", "0,1,2", "--output"]
     assert main(["gen", "swiss-roll", "--n", "25", "--output", roll]) == 0
+    assert main(red + [str(tmp_path / "pca.csv"), "--method", "pca"]) == 0
+    assert main(red + [str(tmp_path / "mds.csv"), "--method", "mds", "--dim", "3"]) == 0
+    return [str(tmp_path / name) + ".manifest.json" for name in ("roll.csv", "pca.csv", "mds.csv")]
+
+
+def test_report_summarizes_manifests_and_plots(tmp_path, capsys):
+    """One chart of the given manifests' metrics: a legend label for each
+    metric and one point marker for each value on a log axis."""
+    manifests = _report_inputs(tmp_path)
     outdir = str(tmp_path / "report")
-    assert main(["report", "--manifests", roll + ".manifest.json",
-                 "--outdir", outdir]) == 0
+    assert main(["report", "--manifests", *manifests, "--outdir", outdir]) == 0
+    assert capsys.readouterr().out.endswith(f"and 1 plot to {outdir}\n")
     summary = open(os.path.join(outdir, "summary.csv")).read()
     assert "gen" in summary and "rows" in summary
-    for name in ("sigmoid_family.svg", "swissroll_isomap.svg"):
-        svg = open(os.path.join(outdir, name)).read()
-        assert svg.startswith("<svg")
-        assert "<polyline" in svg or "<circle" in svg
+    values = {}
+    for path in manifests:
+        for name, value in load_manifest(path)["metrics"].items():
+            values.setdefault(name, []).append(value)
+    assert {"rows", "variance_kept", "reconstruction_error"} <= set(values)
+    assert sorted(f for f in os.listdir(outdir) if f.endswith(".svg")) == ["metrics.svg"]
+    svg = open(os.path.join(outdir, "metrics.svg")).read()
+    assert svg.startswith("<svg")
+    for name in values:
+        assert f">{name}</text>" in svg
+    # every value here is a nonzero number, so each one is plotted
+    assert all(type(v) in (int, float) and v != 0 for vs in values.values() for v in vs)
+    assert svg.count("<circle") == sum(len(v) for v in values.values())
+
+
+def test_report_chart_changes_with_an_input_metric(tmp_path):
+    manifests = _report_inputs(tmp_path)
+    outdir = str(tmp_path / "report")
+
+    def chart():
+        assert main(["report", "--manifests", *manifests, "--outdir", outdir]) == 0
+        return open(os.path.join(outdir, "metrics.svg")).read()
+
+    before = chart()
+    pca = load_manifest(manifests[1])
+    pca["metrics"]["variance_kept"] /= 2
+    with open(manifests[1], "w") as fh:
+        json.dump(pca, fh)
+    assert chart() != before
+
+
+def test_report_without_plottable_metrics_writes_no_chart(tmp_path, capsys):
+    """Values that are 0, not finite or not numbers have no log magnitude:
+    the summary keeps their rows, and no chart is drawn."""
+    manifests = _report_inputs(tmp_path)[:2]
+    unplottable = [0, 0.0, float("nan"), float("inf"), "text", None]
+    for path, values in zip(manifests, (unplottable[:3], unplottable[3:])):
+        manifest = load_manifest(path)
+        manifest["metrics"] = {f"m{i}": value for i, value in enumerate(values)}
+        with open(path, "w") as fh:
+            json.dump(manifest, fh)
+    outdir = str(tmp_path / "report")
+    assert main(["report", "--manifests", *manifests, "--outdir", outdir]) == 0
+    assert "no finite nonzero metric to plot" in capsys.readouterr().out
+    with open(os.path.join(outdir, "summary.csv")) as fh:
+        assert len([line for line in fh if not line.startswith("#")]) == len(unplottable)
+    assert sorted(os.listdir(outdir)) == ["report.manifest.json", "summary.csv"]
+
+
+def test_report_records_its_seed(tmp_path):
+    """`--seed` charts nothing, but stays accepted and recorded."""
+    manifests = _report_inputs(tmp_path)[:1]
+    outdir = str(tmp_path / "report")
+    assert main(["report", "--manifests", *manifests, "--outdir", outdir, "--seed", "3"]) == 0
+    assert load_manifest(os.path.join(outdir, "report.manifest.json"))["seed"] == 3
 
 
 def test_report_manifest_is_reproducible_without_timestamps(tmp_path):

@@ -410,12 +410,19 @@ def test_csv_through_a_symlink_updates_its_target(tmp_path, force_csv_workers, n
     assert os.listdir(target.parent) == ["real.csv"]
 
 
-def test_directory_as_output_is_error_1_without_a_temporary_file(tmp_path, capsys):
+def test_directory_as_output_is_error_1_without_a_temporary_file(tmp_path, capsys,
+                                                                   monkeypatch):
+    """The directory is refused before any row is formatted."""
     out = tmp_path / "out"
     out.mkdir()
+    formatted = []
+    real = fileio._format_row
+    monkeypatch.setattr(fileio, "_format_row", lambda row: formatted.append(row) or real(row))
     assert main(["gen", "swiss-roll", "--n", "30", "--output", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("kc: error: ") and err.count("\n") == 1
+    assert "Is a directory" in err
+    assert formatted == []
     assert os.listdir(tmp_path) == ["out"]
     assert os.listdir(out) == []
 

@@ -25,7 +25,9 @@ weighted logistic loss computes both softplus terms and the sigmoid from one
 softplus(-|z|) and one exp(-|z|), and must equal the separate `softplus` and
 `sigmoid` calls of the loop bodies bit for bit on every logit, the edge
 cases included. `train_sgns` trains count-preconditioned tables, and its
-loop body below takes the same change of variables.
+loop body below takes the same change of variables. The linear probe is a
+closed-form least-squares fit; its normal equations, summed item by item,
+are its oracle.
 
 Every symmetric table is a plain ndarray that `as_sym_array` checked and
 mirrored. The `SymMatrix` wrapper whose constructor did that lives on
@@ -45,7 +47,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kernelcontrast import contrastive
 from kernelcontrast.contrastive import (
     CorpusStats,
     ProbeTask,
@@ -67,7 +68,6 @@ from kernelcontrast.encoders import (
     OptimizerConfig,
     minimize,
     sigmoid,
-    softmax,
     softplus,
 )
 from kernelcontrast.fileio import load_sym_csv, save_sym_csv
@@ -571,28 +571,26 @@ def _loop_train_spectral(process, d, cfg):
     return (EmbeddingTable(fit.x.reshape(n, d), fits=(fit,)),)
 
 
-def _loop_linear_probe_error(phi, task, p, cfg):
-    """Returns the error and the fit the parent body discarded."""
-    p = np.asarray(p, dtype=float)
+def _loop_linear_probe_error(phi, task, p):
+    """The least-squares probe from its normal equations, summed item by
+    item, with a per-item argmax (the first of tied classes wins)."""
     n, d = phi.rows.shape
     c = task.n_classes
-    onehot = np.zeros((n, c))
-    onehot[np.arange(n), task.labels] = 1.0
-    w0 = Stream(cfg.seed).uniform(c * d, -0.1, 0.1)
-
-    def objective(flat):
-        w = flat.reshape(c, d)
-        logits = phi.rows @ w.T
-        probs = softmax(logits)
-        safe = np.maximum(probs[np.arange(n), task.labels], 1e-300)
-        loss = float(-(p * np.log(safe)).sum())
-        grad = ((probs - onehot) * p[:, None]).T @ phi.rows
-        return loss, grad.reshape(-1)
-
-    fit = minimize(objective, w0, cfg)
-    logits = phi.rows @ fit.x.reshape(c, d).T
-    predicted = np.argmax(logits, axis=1)
-    return float(p[predicted != task.labels].sum()), fit
+    gram, cross = np.zeros((d, d)), np.zeros((d, c))
+    for i in range(n):
+        gram += p[i] * np.outer(phi.rows[i], phi.rows[i])
+        cross[:, task.labels[i]] += p[i] * phi.rows[i]
+    w = np.linalg.solve(gram, cross)
+    error = 0.0
+    for i in range(n):
+        scores = phi.rows[i] @ w
+        best = 0
+        for j in range(1, c):
+            if scores[j] > scores[best]:
+                best = j
+        if best != task.labels[i]:
+            error += p[i]
+    return error
 
 
 def _assert_same_fit(got, want):
@@ -736,21 +734,19 @@ def test_train_spectral_matches_parent(d):
     _assert_same_tables((got,), _loop_train_spectral(process, d, _CFG))
 
 
-def test_linear_probe_error_matches_parent(monkeypatch):
-    phi = EmbeddingTable(Stream(23).normal(12).reshape(6, 2))
-    task = ProbeTask(labels=[0, 1, 2, 0, 1, 2], n_classes=3)
-    p = np.arange(1.0, 7.0) / 21.0
-    fits = []
-
-    def recording(*args):
-        fits.append(minimize(*args))
-        return fits[-1]
-
-    monkeypatch.setattr(contrastive, "minimize", recording)
-    got = linear_probe_error(phi, task, p, config=_CFG)
-    want, want_fit = _loop_linear_probe_error(phi, task, p, _CFG)
-    assert got == want and len(fits) == 1
-    _assert_same_fit(fits[0], want_fit)
+@pytest.mark.parametrize("seed, n, d, c", [(23, 6, 2, 3), (24, 12, 3, 3), (25, 10, 4, 2)])
+def test_linear_probe_error_matches_normal_equations(seed, n, d, c):
+    """On random full-column-rank features the minimum-norm least-squares
+    probe is the normal-equations solution, so both predict the same items."""
+    stream = Stream(seed)
+    phi = EmbeddingTable(stream.normal(n * d).reshape(n, d))
+    assert np.linalg.matrix_rank(phi.rows) == d
+    task = ProbeTask(labels=np.arange(n) % c, n_classes=c)
+    p = stream.uniform(n, 0.5, 1.5)
+    p /= p.sum()
+    want = _loop_linear_probe_error(phi, task, p)
+    assert 0.0 < want < 1.0
+    assert linear_probe_error(phi, task, p) == pytest.approx(want, rel=1e-12, abs=0)
 
 
 # ------------------------------------------------------- symmetric matrices
