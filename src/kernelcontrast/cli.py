@@ -424,7 +424,7 @@ def _kernel_approx(v) -> _Outcome:
         idx = sample_landmarks(n, v.landmarks, v.seed)
         model = nystrom_fit(kernel, [data[i] for i in idx], v.rank)
         feats = nystrom_features(model, data)
-        metrics["usable_rank"] = model.usable_rank
+        metrics["usable_rank"] = feats.shape[1]  # min(--rank, usable eigenvalues)
     else:
         if v.kernel != "gaussian":
             raise UsageError("random Fourier features require the gaussian kernel")
@@ -574,14 +574,17 @@ def _report(v) -> _Outcome:
         fh.write("# manifest,subcommand,seed,metric,value\n")
         for path, cmd, mseed, name, value in sorted(rows):
             fh.write(f"{path},{cmd},{mseed},{name},{value!r}\n")
+    chart = os.path.join(v.outdir, "metrics.svg")
     message = f"wrote {summary} to {v.outdir}; no finite nonzero metric to plot"
     if series:
         line_chart(
-            os.path.join(v.outdir, "metrics.svg"),
+            chart,
             [(name, *zip(*points)) for name, points in sorted(series.items())],
             "log10 |metric| by manifest",
         )
         message = f"wrote {summary} and 1 plot to {v.outdir}"
+    elif os.path.lexists(chart):  # an earlier run's chart does not describe this summary
+        os.remove(chart)
     return _Outcome(message, {"rows": len(rows)})
 
 

@@ -14,7 +14,9 @@ import numpy as np
 
 __all__ = ["line_chart", "PALETTE"]
 
-PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
+# One colour per series; past ten, a colour comes back dashed.
+PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b",
+           "#e377c2", "#7f7f7f", "#bcbd22", "#17becf"]
 
 _W, _H = 640, 420
 _MARGIN = {"left": 56.0, "right": 16.0, "top": 34.0, "bottom": 40.0}
@@ -110,20 +112,22 @@ def line_chart(path: str, series, title: str) -> None:
     ax.frame(body, title)
     for idx, (label, xs, ys) in enumerate(series):
         color = PALETTE[idx % len(PALETTE)]
+        cycle = idx // len(PALETTE)
+        dash = f' stroke-dasharray="{4 * cycle},2"' if cycle else ""
         points = [
             (_fmt(ax.px(x)), _fmt(ax.py(y)))
             for x, y in zip(np.asarray(xs, float).tolist(), np.asarray(ys, float).tolist())
         ]
         body.append(
             f'<polyline points="{" ".join(f"{x},{y}" for x, y in points)}" '
-            f'fill="none" stroke="{color}" stroke-width="1.5"/>'
+            f'fill="none" stroke="{color}"{dash} stroke-width="1.5"/>'
         )
         body.extend(f'<circle cx="{x}" cy="{y}" r="2.50" fill="{color}"/>' for x, y in points)
         ly = ax.y0 + 14 + 14 * idx
         lx = ax.x0 + ax.width - 150
         body.append(
             f'<line x1="{_fmt(lx)}" y1="{_fmt(ly - 4)}" x2="{_fmt(lx + 18)}" '
-            f'y2="{_fmt(ly - 4)}" stroke="{color}" stroke-width="2"/>'
+            f'y2="{_fmt(ly - 4)}" stroke="{color}"{dash} stroke-width="2"/>'
         )
         body.append(
             f'<text x="{_fmt(lx + 24)}" y="{_fmt(ly)}" font-family="monospace" '

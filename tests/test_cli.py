@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import warnings
 
 import numpy as np
@@ -10,6 +11,7 @@ from kernelcontrast import contrastive, encoders
 from kernelcontrast.cli import main
 from kernelcontrast.fileio import load_matrix_csv, save_matrix_csv, save_sym_csv
 from kernelcontrast.manifest import load_manifest
+from kernelcontrast.svgplot import line_chart
 
 
 @pytest.fixture(autouse=True)
@@ -523,6 +525,18 @@ def test_verify_unknown_suite_is_usage_error(capsys):
     assert "classification" in err
 
 
+def test_kernel_approx_nystrom_records_the_rank_it_writes(tmp_path):
+    """With more usable landmark eigenvalues than --rank, the manifest's
+    usable_rank is the number of feature columns written."""
+    roll = str(tmp_path / "roll.csv")
+    assert main(["gen", "swiss-roll", "--n", "200", "--seed", "0", "--output", roll]) == 0
+    out = str(tmp_path / "feats.csv")
+    assert main(["kernel-approx", "--method", "nystrom", "--input", roll, "--columns", "0,1,2",
+                 "--seed", "0", "--landmarks", "40", "--rank", "20", "--output", out]) == 0
+    assert load_manifest(out + ".manifest.json")["metrics"]["usable_rank"] == 20
+    assert load_matrix_csv(out).shape == (200, 20)
+
+
 # ------------------------------------------------------------------ report
 
 
@@ -592,6 +606,33 @@ def test_report_without_plottable_metrics_writes_no_chart(tmp_path, capsys):
     with open(os.path.join(outdir, "summary.csv")) as fh:
         assert len([line for line in fh if not line.startswith("#")]) == len(unplottable)
     assert sorted(os.listdir(outdir)) == ["report.manifest.json", "summary.csv"]
+
+
+def test_report_without_plottable_metrics_removes_an_earlier_chart(tmp_path, capsys):
+    """A chart left by an earlier report in the same --outdir would not
+    describe the new summary, so it goes."""
+    manifest = _report_inputs(tmp_path)[0]
+    outdir = str(tmp_path / "report")
+    assert main(["report", "--manifests", manifest, "--outdir", outdir]) == 0
+    assert os.path.exists(os.path.join(outdir, "metrics.svg"))
+    data = load_manifest(manifest)
+    data["metrics"] = {name: 0 for name in data["metrics"]}
+    with open(manifest, "w") as fh:
+        json.dump(data, fh)
+    assert main(["report", "--manifests", manifest, "--outdir", outdir]) == 0
+    assert "no finite nonzero metric to plot" in capsys.readouterr().out
+    assert sorted(os.listdir(outdir)) == ["report.manifest.json", "summary.csv"]
+
+
+@pytest.mark.parametrize("count", [7, 12])
+def test_line_chart_draws_each_series_with_its_own_stroke(tmp_path, count):
+    """The toolbox report charts 7 metrics; past the palette's length a
+    colour comes back dashed, so no two series look alike."""
+    path = str(tmp_path / "chart.svg")
+    line_chart(path, [(f"s{i}", [0, 1], [i, i + 1]) for i in range(count)], "strokes")
+    svg = open(path).read()
+    strokes = re.findall(r'<polyline [^>]*?stroke="([^"]+)"( stroke-dasharray="[^"]+")?', svg)
+    assert len(strokes) == len(set(strokes)) == count
 
 
 def test_report_records_its_seed(tmp_path):

@@ -236,8 +236,9 @@ _EDGE = np.array([
     (np.zeros((0, 3)), 2, ["no rows"], 0),
     (np.zeros((0, 3)), 2, [], 0),
     (_EDGE, 3, ["edge values"], 2),
+    (Stream(14).normal(3 * 4000).reshape(3, 4000), 2, ["rows wider than a chunk"], 1),
 ], ids=["uneven-blocks", "more-cpus-than-rows", "one-row", "no-rows", "no-rows-no-comments",
-        "edge-values"])
+        "edge-values", "wide-rows"])
 def test_parallel_csv_bytes_match_one_worker_and_repr(tmp_path, force_csv_workers, no_leaks,
                                                       m, cpus, comments, forked):
     expected = _one_worker_bytes(tmp_path, m, comments)
@@ -248,18 +249,40 @@ def test_parallel_csv_bytes_match_one_worker_and_repr(tmp_path, force_csv_worker
     assert path.read_bytes() == expected == _reference_bytes(m, comments)
 
 
+def test_float_text_is_repr_byte_for_byte(tmp_path):
+    """The vectorized shortest-digit formatter writes what per-value repr
+    writes: on random bit patterns of both signs and every exponent, the
+    first and last subnormals, every power of two and its neighbours, every
+    power of ten, integers around 2^53, signed zeros, infinities and nan.
+    Widths 4000, 5 and 1 put chunk edges inside rows and between them."""
+    rng = np.random.default_rng(17)
+    random_bits = rng.integers(0, 2**64, 10**6, dtype=np.uint64).view(float)
+    tiny = np.arange(1, 10**5 + 1, dtype=np.uint64)
+    subnormals = np.concatenate([tiny, np.uint64(2**52) - tiny]).view(float)
+    powers_of_two = 2.0 ** np.arange(-1074, 1024)
+    around = [np.nextafter(powers_of_two, -np.inf), powers_of_two,
+              np.nextafter(powers_of_two, np.inf)]
+    powers_of_ten = np.array([float(f"1e{e}") for e in range(-323, 309)])
+    near_2_53 = 2.0**53 + np.arange(-1000.0, 1001.0)
+    special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan])
+    column = np.concatenate([*around, powers_of_ten, near_2_53, -near_2_53, special])
+    for m in (random_bits.reshape(-1, 4000), subnormals.reshape(-1, 5), column[:, None],
+              np.zeros((0, 5)), np.zeros((0, 4000))):
+        assert _one_worker_bytes(tmp_path, m, []) == _reference_bytes(m, [])
+
+
 def _only_in_children(monkeypatch, name, child_version):
     """Replace ``fileio.<name>`` by ``child_version`` in forked children
     only; this process keeps the real function."""
     real, parent = getattr(fileio, name), os.getpid()
 
-    def patched(arg):
-        return real(arg) if os.getpid() == parent else child_version(real, arg)
+    def patched(*args):
+        return real(*args) if os.getpid() == parent else child_version(real, *args)
 
     monkeypatch.setattr(fileio, name, patched)
 
 
-def _raise(real, arg):
+def _raise(real, *args):
     raise RuntimeError("child failed")
 
 
@@ -275,7 +298,7 @@ def test_parallel_csv_falls_back_to_formatting_here(tmp_path, monkeypatch, force
             raise OSError("fork refused")
         monkeypatch.setattr(os, "fork", no_fork)
     elif failure == "child-raises":
-        _only_in_children(monkeypatch, "_format_row", _raise)
+        _only_in_children(monkeypatch, "_format_floats", _raise)
     elif failure == "child-exits-1":
         # a full block of wrong text, sent by a child that then exits 1
         _only_in_children(monkeypatch, "_format_block", lambda real, block: "x\n" * len(block))
@@ -291,14 +314,14 @@ def test_parallel_csv_falls_back_to_formatting_here(tmp_path, monkeypatch, force
 def test_parallel_csv_failure_in_own_block_leaves_no_child_and_no_file(
         tmp_path, monkeypatch, force_csv_workers, no_leaks):
     forks = force_csv_workers(3)
-    parent = os.getpid()
+    parent, real = os.getpid(), fileio._format_floats
 
-    def failing_here(row):
+    def failing_here(*args):
         if os.getpid() == parent:
             raise RuntimeError("parent failed")
-        return ",".join(map(repr, row.tolist()))
+        return real(*args)
 
-    monkeypatch.setattr(fileio, "_format_row", failing_here)
+    monkeypatch.setattr(fileio, "_format_floats", failing_here)
     path = tmp_path / "m.csv"
     with pytest.raises(RuntimeError, match="parent failed"):
         save_matrix_csv(str(path), Stream(7).normal(12).reshape(6, 2))
@@ -372,10 +395,10 @@ def test_failed_write_keeps_an_existing_file(tmp_path, monkeypatch, force_csv_wo
     path.write_bytes(b"1.0,2.0\n")
     force_csv_workers(3)
 
-    def failing(row):
+    def failing(*args):
         raise RuntimeError("format failed")
 
-    monkeypatch.setattr(fileio, "_format_row", failing)
+    monkeypatch.setattr(fileio, "_format_floats", failing)
     with pytest.raises(RuntimeError, match="format failed"):
         save_matrix_csv(str(path), Stream(11).normal(12).reshape(6, 2))
     assert path.read_bytes() == b"1.0,2.0\n"
@@ -416,8 +439,9 @@ def test_directory_as_output_is_error_1_without_a_temporary_file(tmp_path, capsy
     out = tmp_path / "out"
     out.mkdir()
     formatted = []
-    real = fileio._format_row
-    monkeypatch.setattr(fileio, "_format_row", lambda row: formatted.append(row) or real(row))
+    real = fileio._format_floats
+    monkeypatch.setattr(fileio, "_format_floats",
+                        lambda *args: formatted.append(args) or real(*args))
     assert main(["gen", "swiss-roll", "--n", "30", "--output", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("kc: error: ") and err.count("\n") == 1
