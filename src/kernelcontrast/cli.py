@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -42,7 +43,6 @@ from .contrastive import (
     dirichlet_conductance,
     expected_simclr_loss,
     infonce_tv_gap,
-    shifted_pmi_matrix,
     sparsest_partition,
     spectral_loss,
     sgns_expected_loss,
@@ -69,7 +69,7 @@ from .kernel_approx import (
     sample_landmarks,
 )
 from .kernels import gaussian_kernel, gram, linear_kernel, mercer_decompose, polynomial_kernel
-from .linear_dr import low_rank_factor, mds_embed, pca_fit, pca_transform
+from .linear_dr import mds_embed, pca_fit, pca_transform
 from .manifold import (
     isomap,
     laplacian_eigenmaps,
@@ -80,7 +80,7 @@ from .manifold import (
 )
 from .manifest import load_manifest, make_manifest, write_manifest
 from .svgplot import line_chart
-from .verify import UnknownSuiteError, run_suite
+from .verify import UnknownSuiteError, eigenfunction_gaps, factor_gap, pmi_gap, run_suite
 
 
 class UsageError(ValueError):
@@ -147,7 +147,9 @@ class _Outcome:
     code: int = 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `kc` parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="kc",
         description="finite-space kernel, manifold, and contrastive toolkit",
@@ -466,8 +468,7 @@ def _contrast(v) -> _Outcome:
             phi, psi, stats, v.k, activation=v.activation, neg_exponent=v.neg_exponent
         )
         if np.all(stats.counts > 0) and v.dim >= stats.space.n and v.neg_exponent == 1.0:
-            target = shifted_pmi_matrix(stats, v.k if v.activation == "sigmoid" else 1.0)
-            metrics["pmi_gap"] = float(np.abs(phi.rows @ psi.rows.T - target).max())
+            metrics["pmi_gap"] = pmi_gap(phi, psi, stats, v.k, v.activation)
     else:
         process = load_process(v.process)
         items = process.space.items
@@ -491,9 +492,7 @@ def _contrast(v) -> _Outcome:
             phi = train_spectral(process, v.dim, config=v.optimizer)
             rows, fits = phi.rows, phi.fits
             metrics["loss"] = spectral_loss(phi, process)
-            f = np.sqrt(process.marginal)[:, None] * rows
-            target = low_rank_factor(process.abar, v.dim)
-            metrics["factor_gap"] = float(np.linalg.norm(target @ target.T - f @ f.T))
+            metrics["factor_gap"] = factor_gap(phi, process, v.dim)
 
     comment = "items: " + " ".join(str(i) for i in items)
     tables = {v.output: (rows, comment)}
@@ -507,10 +506,7 @@ def _eigenfun(v) -> _Outcome:
     weights = load_matrix_csv(v.p).ravel()
     result = train_eigenfunctions(table, weights, v.dim, config=v.optimizer)
     eigenvalues, functions = mercer_decompose(table, weights)
-    cosines = [
-        abs(float((result.values[:, j] * weights) @ functions[:, j])) for j in range(v.dim)
-    ]
-    deviation = float(np.abs(result.estimates - eigenvalues[:v.dim]).max())
+    deviation, cosines = eigenfunction_gaps(result, eigenvalues, functions, weights)
     comparison = {
         "estimates": [float(x) for x in result.estimates],
         "oracle_eigenvalues": [float(x) for x in eigenvalues[:v.dim]],

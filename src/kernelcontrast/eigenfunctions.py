@@ -41,10 +41,6 @@ class EigenfunctionSet:
     gaps: np.ndarray
     fits: tuple[OptimizeResult, ...] = ()
 
-    @property
-    def d(self) -> int:
-        return self.values.shape[1]
-
 
 def _make_stage(m: np.ndarray, d_weights: np.ndarray, prev: np.ndarray, quad: np.ndarray):
     """Objective for one training stage with earlier functions held fixed.

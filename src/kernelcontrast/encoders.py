@@ -130,9 +130,6 @@ class EmbeddingTable:
         rows = stream.uniform(n_items * dim, -INIT_SCALE, INIT_SCALE)
         return cls(rows.reshape(n_items, dim))
 
-    def flat(self) -> np.ndarray:
-        return self.rows.reshape(-1).copy()
-
 
 def grad_check(fun, params: np.ndarray, epsilon: float = 1e-5) -> float:
     """Largest relative gap between analytic and central-difference gradients.

@@ -82,14 +82,6 @@ class EigenDecomposition:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
-    @property
-    def n(self) -> int:
-        return self.eigenvalues.shape[0]
-
-    def reconstruct(self) -> np.ndarray:
-        v = self.eigenvectors
-        return (v * self.eigenvalues) @ v.T
-
 
 def fix_signs(vectors: np.ndarray) -> np.ndarray:
     """The package's one sign convention, applied in place: each column is
@@ -145,41 +137,36 @@ def _round_robin(n: int) -> list[np.ndarray]:
     return rounds
 
 
-def jacobi_eigh(matrix, tol: float = 1e-12, max_sweeps: int = 60) -> EigenDecomposition:
-    """Jacobi eigendecomposition of a symmetric matrix.
+JACOBI_TOL = 1e-12  # relative off-diagonal convergence threshold
+JACOBI_MAX_SWEEPS = 60  # a safety cap: quadratic convergence needs far fewer
+
+
+def jacobi_eigh(matrix) -> EigenDecomposition:
+    """Jacobi eigendecomposition of a symmetric square matrix.
 
     Sweeps rotate every (p, q) plane once, in round-robin (parallel)
     ordering: each round rotates a set of disjoint planes together. Once
-    the off-diagonal Frobenius mass has dropped below ``tol`` times the
-    Frobenius norm of the input, one more sweep runs and the iteration
-    stops. Eigenvalues come back sorted descending; each eigenvector column
-    has its largest-magnitude entry made positive.
-
-    Parameters
-    ----------
-    matrix : array-like
-        Symmetric square matrix.
-    tol : float
-        Relative off-diagonal convergence threshold.
-    max_sweeps : int
-        Safety cap on the sweeps before the off-diagonal test passes;
-        Jacobi converges quadratically so realistic inputs need far fewer.
+    the off-diagonal Frobenius mass has dropped below ``JACOBI_TOL`` times
+    the Frobenius norm of the input, one more sweep runs and the iteration
+    stops; RuntimeError if the test still fails after ``JACOBI_MAX_SWEEPS``
+    sweeps. Eigenvalues come back sorted descending; each eigenvector
+    column has its largest-magnitude entry made positive.
     """
     a = _solver_input(matrix)
     n = a.shape[0]
     # A above V in one array, so one column update turns both.
     stacked = np.vstack((a, np.eye(n)))
     a, v = stacked[:n], stacked[n:]
-    threshold = tol * float(np.linalg.norm(a))
+    threshold = JACOBI_TOL * float(np.linalg.norm(a))
     rounds = _round_robin(n)
     k = n // 2
 
-    for sweep in range(max_sweeps + 1):
+    for sweep in range(JACOBI_MAX_SWEEPS + 1):
         off = np.sqrt(2.0 * np.square(np.triu(a, 1)).sum())
         converged = off <= threshold
-        if sweep == max_sweeps and not converged:
+        if sweep == JACOBI_MAX_SWEEPS and not converged:
             raise RuntimeError(
-                f"Jacobi iteration failed to converge in {max_sweeps} sweeps "
+                f"Jacobi iteration failed to converge in {JACOBI_MAX_SWEEPS} sweeps "
                 f"(n={n}, residual {off:.3e} > {threshold:.3e})"
             )
         for plane in rounds:

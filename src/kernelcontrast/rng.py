@@ -65,26 +65,17 @@ class Stream:
         out[1::2] = r * np.sin(theta)
         return out[:n]
 
-    def integers(self, n: int, bound: int) -> np.ndarray:
-        """n integers uniform on [0, bound), by rejection-free modular reduction.
-
-        Bias is at most bound / 2**64, negligible for the bounds used here
-        (vocabulary and landmark counts).
-        """
-        if bound <= 0:
-            raise ValueError("bound must be positive")
-        return (self._raw(n) % np.uint64(bound)).astype(np.int64)
-
     def choice_without_replacement(self, n_total: int, n_pick: int) -> np.ndarray:
         """Pick n_pick distinct indices from range(n_total), uniformly.
 
         Partial Fisher-Yates driven by this stream; result order is the
-        shuffle order (itself uniform over ordered picks).
+        shuffle order (itself uniform over ordered picks). Step i reduces
+        one raw 64-bit word mod n_total - i, a bias of at most n_total / 2**64.
         """
         if not 0 < n_pick <= n_total:
             raise ValueError(f"cannot pick {n_pick} from {n_total}")
         pool = np.arange(n_total)
-        draws = self.integers(n_pick, n_total)  # reduced mod shrinking range below
+        draws = self._raw(n_pick)
         for i in range(n_pick):
             j = i + int(draws[i]) % (n_total - i)
             pool[i], pool[j] = pool[j], pool[i]

@@ -517,6 +517,24 @@ def test_verify_suite_construction_error_is_error_1(capsys):
     assert err.startswith("kc: error: suite construction error") and err.count("\n") == 1
 
 
+def test_consecutive_main_calls_share_no_parsed_values(tmp_path, capsys):
+    """One process builds the parser once; no call's arguments or usage
+    error reach the next call."""
+    assert _gen_seed(tmp_path, argv_extra=["--seed", "3"]) == 3
+    assert _gen_seed(tmp_path) == 0
+    capsys.readouterr()
+    out = str(tmp_path / "report.json")
+    argv = ["verify", "classification", "--output", out]
+    assert main(argv) == 0
+    first = (capsys.readouterr().out, open(out).read())
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "classification", "--no-such-flag"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert main(argv) == 0
+    assert (capsys.readouterr().out, open(out).read()) == first
+
+
 def test_verify_unknown_suite_is_usage_error(capsys):
     assert main(["verify", "no-such-suite"]) == 2
     err = capsys.readouterr().err

@@ -69,7 +69,7 @@ def test_train_gaps_come_from_estimates():
     trained = train_eigenfunctions(k, p, d=3)
     want = (trained.estimates[:-1] - trained.estimates[1:]) / trained.estimates[0]
     np.testing.assert_allclose(trained.gaps, want, atol=0)
-    assert trained.d == 3
+    assert trained.values.shape[1] == 3
 
 
 def test_train_with_nonuniform_weights():

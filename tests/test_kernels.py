@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from kernelcontrast import kernel_approx, kernels, linear_dr, manifold, verify
 from kernelcontrast.kernels import (
     SYM_TOL,
-    EigenDecomposition,
     FiniteSpace,
     as_sym_array,
     cross_gram,
@@ -126,8 +125,8 @@ def test_jacobi_reconstruct_and_orthogonality():
         g = Stream(seed).normal(49).reshape(7, 7)
         a = (g + g.T) / 2.0
         eig = jacobi_eigh(a)
-        np.testing.assert_allclose(eig.reconstruct(), a, atol=1e-12)
         v = eig.eigenvectors
+        np.testing.assert_allclose((v * eig.eigenvalues) @ v.T, a, atol=1e-12)
         np.testing.assert_allclose(v.T @ v, np.eye(7), atol=1e-12)
         assert np.all(np.diff(eig.eigenvalues) <= 1e-12)
 
@@ -154,6 +153,13 @@ def test_jacobi_1x1_and_zero():
     assert jacobi_eigh([[4.0]]).eigenvalues[0] == 4.0
     eig = jacobi_eigh(np.zeros((3, 3)))
     np.testing.assert_array_equal(eig.eigenvalues, np.zeros(3))
+
+
+def test_jacobi_refuses_a_matrix_unsettled_at_the_sweep_cap(monkeypatch):
+    monkeypatch.setattr(kernels, "JACOBI_MAX_SWEEPS", 1)
+    g = Stream(3).normal(49).reshape(7, 7)
+    with pytest.raises(RuntimeError, match="failed to converge in 1 sweeps"):
+        jacobi_eigh((g + g.T) / 2.0)
 
 
 @pytest.mark.parametrize("solver", [jacobi_eigh, eigh])
@@ -265,11 +271,6 @@ def test_oracles_never_call_lapack(monkeypatch):
     mercer_decompose(k, np.full(4, 0.25))
     linear_dr.low_rank_factor(k, 2)
     assert is_psd(k)
-
-
-def test_eigendecomposition_n():
-    eig = EigenDecomposition(np.array([1.0, 0.5]), np.eye(2))
-    assert eig.n == 2
 
 
 # -------------------------------------------------------------- FiniteSpace

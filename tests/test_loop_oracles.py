@@ -254,9 +254,9 @@ def test_jacobi_hard_cases_emit_no_warning(name):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         eig = jacobi_eigh(a)
-    np.testing.assert_allclose(eig.reconstruct(), a, rtol=0, atol=1e-13)
-    n = a.shape[0]
-    np.testing.assert_allclose(eig.eigenvectors.T @ eig.eigenvectors, np.eye(n), atol=1e-14)
+    v = eig.eigenvectors
+    np.testing.assert_allclose((v * eig.eigenvalues) @ v.T, a, rtol=0, atol=1e-13)
+    np.testing.assert_allclose(v.T @ v, np.eye(a.shape[0]), atol=1e-14)
 
 
 # ------------------------------------------------------------ neighbor graph
@@ -536,7 +536,7 @@ def _loop_train_infonce(process, d, tau, b, cfg, mode):
                 ((ds @ g_rows / tau).reshape(-1), (ds.T @ f_rows / tau).reshape(-1))
             )
 
-        fit = minimize(objective, np.concatenate((f0.flat(), g0.flat())), cfg)
+        fit = minimize(objective, np.concatenate((f0.rows.reshape(-1), g0.rows.reshape(-1))), cfg)
         return (
             EmbeddingTable(fit.x[:split].reshape(n, d), fits=(fit,)),
             EmbeddingTable(fit.x[split:].reshape(n, d), fits=(fit,)),
@@ -555,7 +555,7 @@ def _loop_train_infonce(process, d, tau, b, cfg, mode):
         dr = (du - unit * (du * unit).sum(axis=1, keepdims=True)) / norms[:, None]
         return loss, dr.reshape(-1)
 
-    fit = minimize(objective, phi0.flat(), cfg)
+    fit = minimize(objective, phi0.rows.reshape(-1).copy(), cfg)
     return (EmbeddingTable(fit.x.reshape(n, d), fits=(fit,)),)
 
 
@@ -567,7 +567,7 @@ def _loop_train_spectral(process, d, cfg):
         loss, grad = spectral_loss_grad(flat.reshape(n, d), process)
         return loss, grad.reshape(-1)
 
-    fit = minimize(objective, phi0.flat(), cfg)
+    fit = minimize(objective, phi0.rows.reshape(-1).copy(), cfg)
     return (EmbeddingTable(fit.x.reshape(n, d), fits=(fit,)),)
 
 

@@ -4,10 +4,17 @@ A name in a module's ``__all__`` that only tests reach is code kept alive
 by its own test. This walks the library and the demos and fails for any
 such name that is not on the allow-list below, and for any allow-listed
 name that has since gained a caller or stopped being public.
+
+The same holds for a public name's defaulted parameters: one that no call
+in the library or the demos sets, by position or by keyword, is a knob
+only tests turn, and fails unless ALLOWED_DEFAULTS gives a reason. The
+names on ALLOWED are test-facing as a whole, so their parameters are exempt.
 """
 
 import ast
 import importlib
+import inspect
+import math
 import pathlib
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -23,6 +30,8 @@ ALLOWED = {
     "nce_loss_grad": "the per-sample NCE loss whose optimum train_nce reaches on counts",
 }
 
+ALLOWED_DEFAULTS: dict = {}  # "name.parameter" -> reason
+
 
 def _modules():
     return sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
@@ -37,16 +46,20 @@ def _public_names():
     return names
 
 
+def _nodes():
+    for path in _modules() + sorted((ROOT / "demos").glob("*.py")):
+        yield from ast.walk(ast.parse(path.read_text(), filename=str(path)))
+
+
 def _referenced_names():
     seen = set()
-    for path in _modules() + sorted((ROOT / "demos").glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if isinstance(node, ast.Name):
-                seen.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                seen.add(node.attr)
-            elif isinstance(node, ast.ImportFrom):
-                seen.update(alias.name for alias in node.names)
+    for node in _nodes():
+        if isinstance(node, ast.Name):
+            seen.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            seen.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            seen.update(alias.name for alias in node.names)
     return seen
 
 
@@ -57,3 +70,48 @@ def test_every_public_name_has_a_caller_or_a_reason():
     assert not unexplained, f"public names that only tests reach: {unexplained}"
     stale = sorted(set(ALLOWED) - unreferenced)
     assert not stale, f"allow-listed names that are no longer test-only publics: {stale}"
+
+
+def _set_parameters():
+    """Per called name: the most positional arguments any call passes, and
+    every keyword any call passes; a * or ** argument sets them all."""
+    positional, keywords = {}, {}
+    for node in _nodes():
+        if not isinstance(node, ast.Call):
+            continue
+        name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+        count = len(node.args)
+        if any(isinstance(arg, ast.Starred) for arg in node.args):
+            count = math.inf
+        positional[name] = max(positional.get(name, 0), count)
+        keywords.setdefault(name, set()).update(kw.arg or "**" for kw in node.keywords)
+    return positional, keywords
+
+
+def _unset_defaults():
+    positional, keywords = _set_parameters()
+    unset = set()
+    for name, module in _public_names().items():
+        value = getattr(importlib.import_module(f"kernelcontrast.{module}"), name)
+        if name in ALLOWED or not callable(value):
+            continue
+        try:
+            params = list(inspect.signature(value).parameters.values())
+        except ValueError:  # exception classes have no inspectable signature
+            continue
+        passed = keywords.get(name, set())
+        for i, param in enumerate(params):
+            by_position = param.kind in (param.POSITIONAL_ONLY, param.POSITIONAL_OR_KEYWORD)
+            if param.default is param.empty or passed & {"**", param.name}:
+                continue
+            if not (by_position and positional.get(name, 0) > i):
+                unset.add(f"{name}.{param.name}")
+    return unset
+
+
+def test_every_defaulted_parameter_is_set_somewhere_or_has_a_reason():
+    unset = _unset_defaults()
+    unexplained = sorted(unset - ALLOWED_DEFAULTS.keys())
+    assert not unexplained, f"defaulted parameters that no library or demo call sets: {unexplained}"
+    stale = sorted(ALLOWED_DEFAULTS.keys() - unset)
+    assert not stale, f"allow-listed parameters that a call now sets: {stale}"
