@@ -29,7 +29,7 @@ from kernelcontrast.contrastive import (
 )
 from kernelcontrast.encoders import OptimizerConfig
 from kernelcontrast.kernels import FiniteSpace
-from kernelcontrast.linear_dr import low_rank_factor
+from kernelcontrast.verify import factor_gap
 
 blocks = np.array([
     [0.55, 0.35, 0.05, 0.05],
@@ -52,10 +52,7 @@ print(f"normalized exp-scores vs pair odds:  {gap:.2e}")
 print()
 print("-- spectral factorization --")
 phi = train_spectral(proc, 2, config=OptimizerConfig(tol=1e-10, max_iter=40000))
-trained = np.sqrt(proc.marginal)[:, None] * phi.rows
-direct = low_rank_factor(proc.abar, 2)
-print(f"trained Gram vs rank-2 truncation:   "
-      f"{np.linalg.norm(trained @ trained.T - direct @ direct.T):.2e}")
+print(f"trained Gram vs rank-2 truncation:   {factor_gap(phi, proc, 2):.2e}")
 
 print()
 print("-- cuts and probes --")

@@ -6,10 +6,9 @@ entrywise. That is checkable here because the corpus is small enough to
 count by hand.
 """
 
-import numpy as np
-
 from kernelcontrast.contrastive import corpus_stats, shifted_pmi_matrix, train_sgns
 from kernelcontrast.encoders import OptimizerConfig
+from kernelcontrast.verify import pmi_gap
 
 corpus = "a a b a c a b b c b c c a c b".split()
 stats = corpus_stats(corpus, window=1)
@@ -34,9 +33,9 @@ print(f"{'pair':>6} {'product':>10} {'target':>10}")
 for i in range(n):
     for j in range(n):
         print(f"  {vocab[i]},{vocab[j]} {product[i, j]:10.4f} {target[i, j]:10.4f}")
-print(f"worst entry gap: {np.abs(product - target).max():.2e}")
+print(f"worst entry gap: {pmi_gap(phi, psi, stats, k, 'sigmoid'):.2e}")
 print()
 
 phi2, psi2 = train_sgns(stats, n, k, config=cfg, activation="k_sigmoid")
-gap = np.abs(phi2.rows @ psi2.rows.T - shifted_pmi_matrix(stats, 1.0)).max()
+gap = pmi_gap(phi2, psi2, stats, k, "k_sigmoid")
 print(f"k-scaled sigmoid removes the shift; gap to plain PMI: {gap:.2e}")

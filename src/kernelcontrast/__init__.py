@@ -5,153 +5,34 @@ learning algorithm can be checked against the object it provably
 converges to: a PMI matrix, a positive-pair kernel, a low-rank spectral
 factor, or a Mercer eigenbasis. The eigensolvers, optimizer, and RNG are
 all deterministic, so every number here is reproducible from a seed.
+
+Each library module's ``__all__`` is the one declaration of its public
+names; the package re-exports all of them.
 """
 
 __version__ = "0.1.0"
 
-from .contrastive import (
-    CorpusStats,
-    PairProcess,
-    ProbeTask,
-    corpus_stats,
-    dirichlet_conductance,
-    expected_simclr_loss,
-    linear_probe_error,
-    pair_process,
-    sgns_expected_loss,
-    shifted_pmi_matrix,
-    sparsest_partition,
-    spectral_loss,
-    train_infonce,
-    train_nce,
-    train_sgns,
-    train_spectral,
-)
-from .eigenfunctions import EigenfunctionSet, train_eigenfunctions
-from .encoders import (
-    EmbeddingTable,
-    OptimizeResult,
-    OptimizerConfig,
-    grad_check,
-    minimize,
-    sigmoid,
-    softmax,
-)
-from .kernel_approx import (
-    NystromModel,
-    RffModel,
-    nystrom_eigenfunction,
-    nystrom_fit,
-    nystrom_gram_approx,
-    rff_features,
-    rff_sample,
-    sample_landmarks,
-)
-from .kernels import (
-    FiniteSpace,
-    KernelSpec,
-    as_sym_array,
-    eigh,
-    gaussian_kernel,
-    gram,
-    is_psd,
-    jacobi_eigh,
-    linear_kernel,
-    mercer_decompose,
-    polynomial_kernel,
-    table_kernel,
-)
-from .linear_dr import (
-    MdsResult,
-    PcaModel,
-    double_center,
-    low_rank_factor,
-    mds_embed,
-    pca_fit,
-    pca_transform,
-)
-from .manifold import (
-    DisconnectedGraphError,
-    NeighborGraph,
-    build_graph,
-    graph_laplacian,
-    isomap,
-    laplacian_eigenmaps,
-    latent_arc_length,
-    lle_embed,
-    lle_weights,
-    shortest_paths,
-    swiss_roll,
-)
-from .rng import Stream
-from .verify import SUITE_NAMES, run_suite
+from . import contrastive, eigenfunctions, encoders, kernel_approx, kernels
+from . import linear_dr, manifold, rng, verify
+from .contrastive import *  # noqa: F403
+from .eigenfunctions import *  # noqa: F403
+from .encoders import *  # noqa: F403
+from .kernel_approx import *  # noqa: F403
+from .kernels import *  # noqa: F403
+from .linear_dr import *  # noqa: F403
+from .manifold import *  # noqa: F403
+from .rng import *  # noqa: F403
+from .verify import *  # noqa: F403
 
 __all__ = [
     "__version__",
-    "Stream",
-    "FiniteSpace",
-    "KernelSpec",
-    "as_sym_array",
-    "eigh",
-    "jacobi_eigh",
-    "gram",
-    "is_psd",
-    "mercer_decompose",
-    "linear_kernel",
-    "polynomial_kernel",
-    "gaussian_kernel",
-    "table_kernel",
-    "EmbeddingTable",
-    "OptimizerConfig",
-    "OptimizeResult",
-    "minimize",
-    "grad_check",
-    "sigmoid",
-    "softmax",
-    "PcaModel",
-    "MdsResult",
-    "pca_fit",
-    "pca_transform",
-    "double_center",
-    "mds_embed",
-    "low_rank_factor",
-    "NeighborGraph",
-    "DisconnectedGraphError",
-    "build_graph",
-    "shortest_paths",
-    "graph_laplacian",
-    "isomap",
-    "lle_weights",
-    "lle_embed",
-    "laplacian_eigenmaps",
-    "swiss_roll",
-    "latent_arc_length",
-    "NystromModel",
-    "RffModel",
-    "nystrom_fit",
-    "nystrom_eigenfunction",
-    "nystrom_gram_approx",
-    "sample_landmarks",
-    "rff_sample",
-    "rff_features",
-    "CorpusStats",
-    "corpus_stats",
-    "shifted_pmi_matrix",
-    "train_sgns",
-    "sgns_expected_loss",
-    "train_nce",
-    "PairProcess",
-    "pair_process",
-    "expected_simclr_loss",
-    "train_infonce",
-    "spectral_loss",
-    "train_spectral",
-    "dirichlet_conductance",
-    "sparsest_partition",
-    "ProbeTask",
-    "linear_probe_error",
-    "EigenfunctionSet",
-    "train_eigenfunctions",
-    "SUITE_NAMES",
-    "run_suite",
+    *contrastive.__all__,
+    *eigenfunctions.__all__,
+    *encoders.__all__,
+    *kernel_approx.__all__,
+    *kernels.__all__,
+    *linear_dr.__all__,
+    *manifold.__all__,
+    *rng.__all__,
+    *verify.__all__,
 ]

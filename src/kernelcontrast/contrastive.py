@@ -426,7 +426,7 @@ def pair_process(space: FiniteSpace, augment) -> PairProcess:
     bad = np.nonzero(np.abs(rowsum - 1.0) > 1e-12)[0]
     if bad.size:
         raise ValueError(
-            f"augment row {bad[0]} sums to {rowsum[bad[0]]!r}, not 1"
+            f"augment row {bad[0]} sums to {float(rowsum[bad[0]])!r}, not 1"
         )
     p_plus = symmetrize(a.T @ (space.p[:, None] * a))
     marginal = a.T @ space.p

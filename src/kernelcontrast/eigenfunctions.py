@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .encoders import OptimizeResult, OptimizerConfig, minimize
-from .kernels import as_sym_array, fix_signs
+from .kernels import as_sym_array, checked_weights, fix_signs
 from .rng import Stream
 
 __all__ = ["EigenfunctionSet", "train_eigenfunctions"]
@@ -86,7 +86,8 @@ def train_eigenfunctions(
 ) -> EigenfunctionSet:
     """Recover the top-d eigenfunctions of a PSD kernel under weights p.
 
-    The weights must be strictly positive, one per item of the space.
+    The weights must be strictly positive, one per item of the space, and
+    sum to 1; `checked_weights` rejects any others before training starts.
     Stage j minimizes -R_jj plus the alignment penalties against the
     stages already trained, each stage a full-batch descent over the
     function values on the space with the package optimizer. Each trained
@@ -96,11 +97,7 @@ def train_eigenfunctions(
     """
     k = as_sym_array(kernel_table)
     n = k.shape[0]
-    w = np.asarray(p, dtype=float)
-    if w.shape != (n,):
-        raise ValueError(f"weights shape {w.shape} does not match kernel n={n}")
-    if np.any(w <= 0.0):
-        raise ValueError("weights must be strictly positive")
+    w = checked_weights(p, n)
     if not 1 <= d <= n:
         raise ValueError(f"d must be in [1, {n}], got {d}")
     cfg = config or OptimizerConfig(tol=1e-10, max_iter=20000)

@@ -208,7 +208,7 @@ def minimize(fun, x0: np.ndarray, config: OptimizerConfig | None = None) -> Opti
     loss, grad = fun(x)
     evaluations = 1
     if not np.isfinite(loss):
-        raise ValueError(f"initial loss is not finite: {loss!r}")
+        raise ValueError(f"initial loss is not finite: {float(loss)!r}")
     trace = [float(loss)]
     recent = collections.deque(trace, maxlen=NONMONOTONE)
     step = STEP_SIZE
@@ -237,7 +237,7 @@ def minimize(fun, x0: np.ndarray, config: OptimizerConfig | None = None) -> Opti
             step *= 0.5
         else:
             raise DivergenceError(
-                f"line search failed at loss {loss!r}: no step above "
+                f"line search failed at loss {float(loss)!r}: no step above "
                 f"{MIN_STEP:g} passes the Armijo test"
             )
         s, y = candidate - x, cand_grad - grad

@@ -1,13 +1,12 @@
 """Kernels on finite spaces, Gram matrices, and two symmetric eigensolvers.
 
 The package treats a kernel as a named recipe (`KernelSpec`) rather than a
-bare callable, so Gram construction, PSD checks, and serialization can
-dispatch on the kind. The toolbox (PCA, MDS, ISOMAP, LLE, Laplacian
-eigenmaps, Nystrom) decomposes with `eigh`, which is LAPACK. The oracles
-(`mercer_decompose`, `low_rank_factor`, `is_psd`) use `jacobi_eigh`, a
-hand-rolled Jacobi iteration in round-robin (parallel) ordering, accurate
-to high relative precision, so no toolbox result is checked by its own
-eigensolver.
+bare callable, so Gram construction can dispatch on the kind. The toolbox
+(PCA, MDS, ISOMAP, LLE, Laplacian eigenmaps, Nystrom) decomposes with
+`eigh`, which is LAPACK. The oracles (`mercer_decompose`, `low_rank_factor`,
+`is_psd`) use `jacobi_eigh`, a hand-rolled Jacobi iteration in round-robin
+(parallel) ordering, accurate to high relative precision, so no toolbox
+result is checked by its own eigensolver.
 """
 
 from __future__ import annotations
@@ -223,7 +222,7 @@ class FiniteSpace:
         if np.any(self.p <= 0.0):
             raise ValueError("every item needs strictly positive probability")
         if abs(self.p.sum() - 1.0) > 1e-9:
-            raise ValueError(f"probabilities sum to {self.p.sum()!r}, not 1")
+            raise ValueError(f"probabilities sum to {float(self.p.sum())!r}, not 1")
 
     @property
     def n(self) -> int:
@@ -334,6 +333,19 @@ def is_psd(matrix, tol: float | None = None) -> bool:
     return True
 
 
+def checked_weights(weights, n: int) -> np.ndarray:
+    """Weights as floats: one per item of an n-item space, each positive,
+    summing to 1 within 1e-9. Raises ValueError otherwise."""
+    w = np.asarray(weights, dtype=float)
+    if w.shape != (n,):
+        raise ValueError(f"weights shape {w.shape} does not match kernel n={n}")
+    if np.any(w <= 0.0):
+        raise ValueError("weights must be strictly positive")
+    if abs(w.sum() - 1.0) > 1e-9:
+        raise ValueError(f"weights sum to {float(w.sum())!r}, not 1")
+    return w
+
+
 def mercer_decompose(kernel_table, weights) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues and weighted-orthonormal eigenfunctions of a kernel table.
 
@@ -351,13 +363,7 @@ def mercer_decompose(kernel_table, weights) -> tuple[np.ndarray, np.ndarray]:
         reproduces the kernel table.
     """
     k = as_sym_array(kernel_table)
-    w = np.asarray(weights, dtype=float)
-    if w.shape != (k.shape[0],):
-        raise ValueError(f"weights shape {w.shape} does not match table n={k.shape[0]}")
-    if np.any(w <= 0.0):
-        raise ValueError("weights must be strictly positive")
-    if abs(w.sum() - 1.0) > 1e-9:
-        raise ValueError(f"weights sum to {w.sum()!r}, not 1")
+    w = checked_weights(weights, k.shape[0])
     root = np.sqrt(w)
     m = symmetrize(k * np.outer(root, root))
     eig = jacobi_eigh(m)

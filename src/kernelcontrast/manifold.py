@@ -33,6 +33,7 @@ __all__ = [
     "lle_embed",
     "laplacian_eigenmaps",
     "swiss_roll",
+    "latent_arc_length",
     "pairwise_distances",
 ]
 
@@ -201,12 +202,13 @@ def lle_weights(data: np.ndarray, k: int) -> np.ndarray:
     """Reconstruction weights: each point as an affine combination of K neighbors.
 
     Solves min |x_i - sum_j w_ij x_j|^2 subject to sum_j w_ij = 1 through
-    the KKT system of the local Gram matrix. The system is solved by
-    least squares with a minimum-norm solution, which handles the singular
-    local Gram of K > n0 or degenerate neighborhoods without disturbing
-    exact reconstructions; if that still fails to produce finite weights,
-    the Gram diagonal is regularized by 1e-3 * trace(C) / K and re-solved.
-    Rows are renormalized to sum exactly to 1.
+    the KKT system of the local Gram matrix C. C is divided by its trace
+    (when positive) first, so it sits at the unit scale of the constraint
+    row and the weights do not change with the unit of the data. The
+    system is solved by least squares with a minimum-norm solution, which
+    handles the singular local Gram of K > n0 or degenerate neighborhoods
+    without disturbing exact reconstructions. Rows are renormalized to sum
+    exactly to 1.
     """
     x = np.asarray(data, dtype=float)
     n = x.shape[0]
@@ -223,15 +225,10 @@ def lle_weights(data: np.ndarray, k: int) -> np.ndarray:
         nbrs = neighbors[i]
         z = x[nbrs] - x[i]
         c = z @ z.T
-        kkt[:k, :k] = c
-        sol = np.linalg.lstsq(kkt, rhs, rcond=None)[0]
-        wi = sol[:k]
-        total = wi.sum()
-        if not np.isfinite(wi).all() or abs(total) < 1e-12:
-            reg = max(1e-3 * np.trace(c) / k, 1e-12)
-            wi = np.linalg.solve(c + reg * np.eye(k), np.ones(k))
-            total = wi.sum()
-        w[i, nbrs] = wi / total
+        trace = np.trace(c)
+        kkt[:k, :k] = c / trace if trace > 0 else c
+        wi = np.linalg.lstsq(kkt, rhs, rcond=None)[0][:k]
+        w[i, nbrs] = wi / wi.sum()
     return w
 
 

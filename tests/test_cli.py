@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from kernelcontrast import contrastive, encoders
+from kernelcontrast import contrastive, eigenfunctions, encoders
 from kernelcontrast.cli import main
 from kernelcontrast.fileio import load_matrix_csv, save_matrix_csv, save_sym_csv
 from kernelcontrast.manifest import load_manifest
@@ -439,6 +439,33 @@ def test_eigenfun_reports_oracle_agreement(tmp_path, capsys):
     assert len(stages) == 2
     assert all(s["stop_reason"] in ("gradient", "stalled") for s in stages)
     assert "warning" not in capsys.readouterr().err
+
+
+def test_eigenfun_rejects_weights_off_one_before_training(tmp_path, capsys, monkeypatch):
+    """Weights that do not sum to 1 exit 1 before the first training stage."""
+    calls = []
+    monkeypatch.setattr(eigenfunctions, "minimize", lambda *a: calls.append(a))
+    kern = tmp_path / "k.csv"
+    save_sym_csv(str(kern), np.array([[2.0, 0.5, 0.2], [0.5, 1.5, 0.3], [0.2, 0.3, 1.0]]))
+    pfile = tmp_path / "p.csv"
+    pfile.write_text("0.3,0.3,0.3\n")
+    assert main(["eigenfun", "--kernel", str(kern), "--p", str(pfile), "--dim", "2",
+                 "--output", str(tmp_path / "f.csv")]) == 1
+    assert not calls
+    assert capsys.readouterr().err == "kc: error: weights sum to 0.8999999999999999, not 1\n"
+
+
+@pytest.mark.parametrize("p, augment, message", [
+    ([0.45, 0.45], [[0.8, 0.2], [0.2, 0.8]], "probabilities sum to 0.9, not 1"),
+    ([0.5, 0.5], [[0.9, 0.2], [0.1, 0.9]], "augment row 0 sums to 1.1, not 1"),
+], ids=["probabilities", "augment"])
+def test_process_sum_errors_print_plain_numbers(tmp_path, capsys, p, augment, message):
+    """A bad sum is reported as a plain float, not a NumPy scalar repr."""
+    proc = _write_process(tmp_path / "p.json", items=["a", "b"], p=p, augment=augment)
+    assert main(["contrast", "spectral", "--process", proc,
+                 "--output", str(tmp_path / "o.csv")]) == 1
+    err = capsys.readouterr().err
+    assert message in err and "np." not in err
 
 
 # ---------------------------------------------------------------- analyze

@@ -345,15 +345,10 @@ def _loop_lle_weights(x, k):
         nbrs = _lexsort_neighbors(dist[i], i, k)
         z = x[nbrs] - x[i]
         c = z @ z.T
-        kkt[:k, :k] = c
-        sol = np.linalg.lstsq(kkt, rhs, rcond=None)[0]
-        wi = sol[:k]
-        total = wi.sum()
-        if not np.isfinite(wi).all() or abs(total) < 1e-12:
-            reg = max(1e-3 * np.trace(c) / k, 1e-12)
-            wi = np.linalg.solve(c + reg * np.eye(k), np.ones(k))
-            total = wi.sum()
-        w[i, nbrs] = wi / total
+        trace = np.trace(c)
+        kkt[:k, :k] = c / trace if trace > 0 else c
+        wi = np.linalg.lstsq(kkt, rhs, rcond=None)[0][:k]
+        w[i, nbrs] = wi / wi.sum()
     return w
 
 

@@ -205,6 +205,16 @@ def test_lle_weights_exact_barycentric_case():
     assert w[0, 2] == pytest.approx(0.5, abs=1e-9)
 
 
+@pytest.mark.parametrize("scale", [1e-100, 1e-8, 1e8, 1e100])
+def test_lle_weights_do_not_depend_on_the_unit(scale):
+    """Rescaling the data leaves the reconstruction weights unchanged
+    (Roweis & Saul 2000): the local Gram scales as scale**2, and the
+    solve must not let that reach its rank cutoff."""
+    data, _ = swiss_roll(200, seed=0)
+    reference = lle_weights(data, k=8)
+    np.testing.assert_allclose(lle_weights(scale * data, k=8), reference, rtol=0, atol=1e-10)
+
+
 def test_lle_weights_reconstruct_interior_points():
     # on a flat 2-D sheet in 3-D, K=4 neighbors reconstruct interior
     # points essentially exactly

@@ -3,7 +3,9 @@
 A name in a module's ``__all__`` that only tests reach is code kept alive
 by its own test. This walks the library and the demos and fails for any
 such name that is not on the allow-list below, and for any allow-listed
-name that has since gained a caller or stopped being public.
+name that has since gained a caller or stopped being public. The public
+methods and properties that a public class defines count as public names
+too, listed as ``Class.member``.
 
 The same holds for a public name's defaulted parameters: one that no call
 in the library or the demos sets, by position or by keyword, is a knob
@@ -16,6 +18,7 @@ import importlib
 import inspect
 import math
 import pathlib
+import types
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "kernelcontrast"
@@ -32,6 +35,10 @@ ALLOWED = {
 
 ALLOWED_DEFAULTS: dict = {}  # "name.parameter" -> reason
 
+# the modules whose __all__ the package re-exports, in its order
+LIBRARY = ("contrastive", "eigenfunctions", "encoders", "kernel_approx", "kernels",
+           "linear_dr", "manifold", "rng", "verify")
+
 
 def _modules():
     return sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
@@ -44,6 +51,21 @@ def _public_names():
         for name in getattr(module, "__all__", ()):
             names[name] = path.stem
     return names
+
+
+def _public_members():
+    """"Class.member" -> module, for each public method or property that a
+    public class defines itself (dataclass fields are data, not members)."""
+    kinds = (types.FunctionType, property, classmethod, staticmethod)
+    members = {}
+    for name, module in _public_names().items():
+        value = getattr(importlib.import_module(f"kernelcontrast.{module}"), name)
+        if not inspect.isclass(value):
+            continue
+        for attr, member in vars(value).items():
+            if not attr.startswith("_") and isinstance(member, kinds):
+                members[f"{name}.{attr}"] = module
+    return members
 
 
 def _nodes():
@@ -64,8 +86,9 @@ def _referenced_names():
 
 
 def test_every_public_name_has_a_caller_or_a_reason():
-    public = _public_names()
-    unreferenced = public.keys() - _referenced_names()
+    public = {**_public_names(), **_public_members()}
+    referenced = _referenced_names()
+    unreferenced = {name for name in public if name.rpartition(".")[2] not in referenced}
     unexplained = sorted(f"{public[name]}.{name}" for name in unreferenced - ALLOWED.keys())
     assert not unexplained, f"public names that only tests reach: {unexplained}"
     stale = sorted(set(ALLOWED) - unreferenced)
@@ -115,3 +138,17 @@ def test_every_defaulted_parameter_is_set_somewhere_or_has_a_reason():
     assert not unexplained, f"defaulted parameters that no library or demo call sets: {unexplained}"
     stale = sorted(ALLOWED_DEFAULTS.keys() - unset)
     assert not stale, f"allow-listed parameters that a call now sets: {stale}"
+
+
+def test_package_all_is_the_library_modules_all():
+    """The package re-exports each library module's __all__, in order, and
+    names nothing of its own but __version__; every name resolves."""
+    expected = ["__version__"]
+    for stem in LIBRARY:
+        expected += importlib.import_module(f"kernelcontrast.{stem}").__all__
+    package = importlib.import_module("kernelcontrast")
+    assert package.__all__ == expected
+    assert len(set(expected)) == len(expected)
+    namespace = {}
+    exec("from kernelcontrast import *", namespace)
+    assert namespace.keys() - {"__builtins__"} == set(expected)
