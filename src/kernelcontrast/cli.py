@@ -41,11 +41,11 @@ from .contrastive import (
     corpus_stats,
     cosine_scores,
     dirichlet_conductance,
-    expected_simclr_loss,
     infonce_tv_gap,
+    sgns_loss_grad,
+    simclr_loss_grad,
     sparsest_partition,
-    spectral_loss,
-    sgns_expected_loss,
+    spectral_loss_grad,
     train_infonce,
     train_sgns,
     train_spectral,
@@ -61,13 +61,7 @@ from .fileio import (
     load_sym_csv,
     save_matrix_csv,
 )
-from .kernel_approx import (
-    nystrom_features,
-    nystrom_fit,
-    rff_features,
-    rff_sample,
-    sample_landmarks,
-)
+from .kernel_approx import nystrom_features, nystrom_fit, rff_features, rff_sample
 from .kernels import gaussian_kernel, gram, linear_kernel, mercer_decompose, polynomial_kernel
 from .linear_dr import mds_embed, pca_fit, pca_transform
 from .manifold import (
@@ -79,6 +73,7 @@ from .manifold import (
     swiss_roll,
 )
 from .manifest import load_manifest, make_manifest, write_manifest
+from .rng import Stream
 from .svgplot import line_chart
 from .verify import UnknownSuiteError, eigenfunction_gaps, factor_gap, pmi_gap, run_suite
 
@@ -423,7 +418,7 @@ def _kernel_approx(v) -> _Outcome:
     if v.method == "nystrom":
         if v.landmarks > n:
             raise UsageError(f"--landmarks {v.landmarks} exceeds the {n} input points")
-        idx = sample_landmarks(n, v.landmarks, v.seed)
+        idx = Stream(v.seed).choice_without_replacement(n, v.landmarks)
         model = nystrom_fit(kernel, [data[i] for i in idx], v.rank)
         feats = nystrom_features(model, data)
         metrics["usable_rank"] = feats.shape[1]  # min(--rank, usable eigenvalues)
@@ -464,9 +459,9 @@ def _contrast(v) -> _Outcome:
             neg_exponent=v.neg_exponent,
         )
         rows, ctx_rows, fits, items = phi.rows, psi.rows, phi.fits, stats.space.items
-        metrics["loss"] = sgns_expected_loss(
-            phi, psi, stats, v.k, activation=v.activation, neg_exponent=v.neg_exponent
-        )
+        metrics["loss"] = sgns_loss_grad(
+            phi.rows, psi.rows, stats, v.k, activation=v.activation, neg_exponent=v.neg_exponent
+        )[0]
         if np.all(stats.counts > 0) and v.dim >= stats.space.n and v.neg_exponent == 1.0:
             metrics["pmi_gap"] = pmi_gap(phi, psi, stats, v.k, v.activation)
     else:
@@ -483,7 +478,7 @@ def _contrast(v) -> _Outcome:
             else:
                 scores = cosine_scores(result, v.tau)
                 rows, fits = result.rows, result.fits
-            metrics["loss"] = expected_simclr_loss(scores, process, v.batch)
+            metrics["loss"] = simclr_loss_grad(scores, process, v.batch)[0]
             try:
                 metrics["tv_gap"] = infonce_tv_gap(scores, process, v.batch)
             except EnumerationBudgetError:
@@ -491,7 +486,7 @@ def _contrast(v) -> _Outcome:
         else:
             phi = train_spectral(process, v.dim, config=v.optimizer)
             rows, fits = phi.rows, phi.fits
-            metrics["loss"] = spectral_loss(phi, process)
+            metrics["loss"] = spectral_loss_grad(phi.rows, process)[0]
             metrics["factor_gap"] = factor_gap(phi, process, v.dim)
 
     comment = "items: " + " ".join(str(i) for i in items)

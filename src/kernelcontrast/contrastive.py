@@ -12,6 +12,9 @@ learning into assertions a test can make at tight tolerance:
   normalized pair matrix in disguise,
 * NCE recovers the log count ratio.
 
+Each loss has one entry point, ``<loss>_loss_grad``, which returns the
+value together with its gradient; element ``[0]`` is the loss alone.
+
 Every trainer runs on one core: `_fit_tables` fits its tables in one
 `minimize` run, `_logistic_loss_grad` is the NCE weighted binary
 cross-entropy that SGNS applies to word-context pairs, and `_shift` is
@@ -46,12 +49,10 @@ __all__ = [
     "shifted_pmi_matrix",
     "nce_loss_grad",
     "train_nce",
-    "sgns_expected_loss",
     "sgns_loss_grad",
     "train_sgns",
     "PairProcess",
     "pair_process",
-    "expected_simclr_loss",
     "simclr_loss_mc",
     "simclr_loss_grad",
     "EnumerationBudgetError",
@@ -60,7 +61,6 @@ __all__ = [
     "cosine_scores",
     "row_normalized",
     "infonce_tv_gap",
-    "spectral_loss",
     "spectral_loss_grad",
     "train_spectral",
     "dirichlet_conductance",
@@ -280,25 +280,6 @@ def train_nce(
     return scores.fits[0]
 
 
-def sgns_expected_loss(
-    phi: EmbeddingTable,
-    psi: EmbeddingTable,
-    stats: CorpusStats,
-    k: float,
-    activation: str = "sigmoid",
-    neg_exponent: float = 1.0,
-) -> float:
-    """Skip-gram negative-sampling loss with expected negative counts.
-
-    The random negative draws of the original algorithm are replaced by
-    their expectations k * N_x * q(z), with q the (optionally exponent-
-    smoothed) negative-sampling distribution, making the loss a
-    deterministic function of the tables. At zero tables the value is
-    N (1 + k) log 2.
-    """
-    return sgns_loss_grad(phi.rows, psi.rows, stats, k, activation, neg_exponent)[0]
-
-
 def sgns_loss_grad(
     phi_rows: np.ndarray,
     psi_rows: np.ndarray,
@@ -307,7 +288,15 @@ def sgns_loss_grad(
     activation: str = "sigmoid",
     neg_exponent: float = 1.0,
 ):
-    """Loss plus gradients in both tables, for the optimizer."""
+    """Skip-gram negative-sampling loss with expected negative counts, and
+    its gradients in both tables: (loss, d/dphi, d/dpsi).
+
+    The random negative draws of the original algorithm are replaced by
+    their expectations k * N_x * q(z), with q the (optionally exponent-
+    smoothed) negative-sampling distribution, making the loss a
+    deterministic function of the tables. At zero tables the value is
+    N (1 + k) log 2.
+    """
     shift = _shift(k, activation)
     n = stats.space.n
     if phi_rows.shape[0] != n or psi_rows.shape[0] != n:
@@ -509,19 +498,12 @@ def _check_batch(process: PairProcess, b: int, k: int | None = None) -> None:
         )
 
 
-def expected_simclr_loss(scores: np.ndarray, process: PairProcess, b: int) -> float:
-    """Exact expected SimCLR loss by enumerating every batch outcome.
+def simclr_loss_grad(scores: np.ndarray, process: PairProcess, b: int):
+    """Exact expected SimCLR loss and its gradient in the score table.
 
     One batch draws a positive pair from p_plus and 2B - 2 negatives
     i.i.d. from the marginal; the anchor must pick its partner out of the
     2B - 1 candidates. A constant score table gives log(2B - 1) exactly.
-    """
-    loss, _ = simclr_loss_grad(scores, process, b)
-    return loss
-
-
-def simclr_loss_grad(scores: np.ndarray, process: PairProcess, b: int):
-    """Expected SimCLR loss and its gradient in the score table.
 
     The loss sees a negative tuple only through its multiset, so the
     |X|^(2B-2) ordered tuples collapse to C(|X|+2B-3, 2B-2) multisets,
@@ -704,20 +686,15 @@ def train_infonce(
 # spectral contrastive loss
 
 
-def spectral_loss(phi: EmbeddingTable, process: PairProcess) -> float:
-    """-2 E_pair[phi(x).phi(x')] + E_indep[(phi(z).phi(z'))^2], exactly.
+def spectral_loss_grad(phi_rows: np.ndarray, process: PairProcess):
+    """Spectral loss -2 E_pair[phi(x).phi(x')] + E_indep[(phi(z).phi(z'))^2],
+    exactly, and its gradient in the embedding rows.
 
     Both expectations are finite sums over the process tables. Up to an
-    additive constant independent of phi, this equals the squared
+    additive constant independent of phi, the loss equals the squared
     Frobenius error of F F^T against the normalized pair matrix, where F
     carries rows sqrt(marginal(x)) phi(x).
     """
-    loss, _ = spectral_loss_grad(phi.rows, process)
-    return loss
-
-
-def spectral_loss_grad(phi_rows: np.ndarray, process: PairProcess):
-    """Spectral loss value and gradient in the embedding rows."""
     rows = np.asarray(phi_rows, dtype=float)
     if rows.shape[0] != process.n:
         raise ValueError("table must have one row per item")

@@ -2,9 +2,13 @@
 
 Two complementary approximations of a kernel's spectral structure: the
 Nystrom method extends the eigenvectors of a landmark Gram matrix to new
-points, and random Fourier features turn the Gaussian kernel into an
-explicit finite-dimensional inner product by sampling its spectral
-measure.
+points (Williams & Seeger 2001), and random Fourier features turn the
+Gaussian kernel into an explicit finite-dimensional inner product by
+sampling its spectral measure.
+
+Each method has one feature map F, and the rest is read off it: the Gram
+approximation is F F^T, and Nystrom column i times sqrt(M / lambda_i) is
+the extension of eigenfunction i to the points.
 """
 
 from __future__ import annotations
@@ -19,21 +23,13 @@ from .rng import Stream
 __all__ = [
     "NystromModel",
     "RffModel",
-    "IllConditionedError",
     "nystrom_fit",
-    "nystrom_eigenfunction",
     "nystrom_features",
-    "nystrom_gram_approx",
     "rff_sample",
     "rff_features",
-    "sample_landmarks",
 ]
 
 RANK_FLOOR = 1e-10
-
-
-class IllConditionedError(ValueError):
-    """Raised when an eigenvalue is too close to zero to divide by."""
 
 
 @dataclass
@@ -80,45 +76,20 @@ def nystrom_fit(kernel: KernelSpec, landmarks, d: int) -> NystromModel:
     )
 
 
-def nystrom_eigenfunction(model: NystromModel, i: int, points) -> np.ndarray:
-    """Nystrom extension of eigenfunction i (0-based) to a batch of points.
-
-    Computes sqrt(M) / lambda_i * sum_k K(z, x_k) u_i[k] for every point z,
-    one value per point, from one `cross_gram` call. At a landmark x_j this
-    collapses to sqrt(M) * u_i[j] by the eigenvector identity. Eigenvalues
-    at or below the conditioning floor cannot be divided by and raise
-    IllConditionedError.
-    """
-    if not 0 <= i < model.rank:
-        raise IndexError(f"eigenfunction index {i} outside kept rank {model.rank}")
-    lam = model.eigenvalues[i]
-    if lam <= model.floor:
-        raise IllConditionedError(
-            f"eigenvalue {i} = {lam:.3e} is below the conditioning floor {model.floor:.3e}"
-        )
-    c = cross_gram(model.kernel, list(points), model.landmarks)
-    return np.sqrt(len(model.landmarks)) / lam * (c @ model.eigenvectors[:, i])
-
-
 def nystrom_features(model: NystromModel, points) -> np.ndarray:
-    """Nystrom feature map F = C U diag(lambda^-1/2), one row per point: C is
-    the kernel between points and landmarks, U and lambda the kept rank's
-    eigenpairs above the conditioning floor, so F F^T approximates the kernel."""
+    """Nystrom feature map F = C U diag(lambda^-1/2), one row per point.
+
+    C is the kernel between points and landmarks, U and lambda the kept
+    rank's eigenpairs above the conditioning floor (those at or below it
+    cannot be divided by and get no column), so F F^T approximates the
+    kernel. Column i times sqrt(M / lambda_i) is the Nystrom extension of
+    eigenfunction i, sqrt(M) / lambda_i * sum_k K(z, x_k) u_i[k]; at the
+    landmark x_j it collapses to sqrt(M) * u_i[j] by the eigenvector
+    identity.
+    """
     keep = np.flatnonzero(model.eigenvalues[: model.rank] > model.floor)
     c = cross_gram(model.kernel, list(points), model.landmarks)
     return (c @ model.eigenvectors[:, keep]) / np.sqrt(model.eigenvalues[keep])
-
-
-def nystrom_gram_approx(model: NystromModel, points) -> np.ndarray:
-    """Rank-d kernel matrix approximation F F^T on arbitrary points, with F
-    the `nystrom_features`: C U diag(1/lambda) U^T C^T over usable eigenvalues."""
-    feats = nystrom_features(model, points)
-    return feats @ feats.T
-
-
-def sample_landmarks(n_total: int, m: int, seed: int) -> np.ndarray:
-    """Choose m distinct point indices uniformly without replacement."""
-    return Stream(seed).choice_without_replacement(n_total, m)
 
 
 @dataclass

@@ -212,17 +212,9 @@ class FiniteSpace:
     p: np.ndarray
 
     def __post_init__(self):
-        self.p = np.asarray(self.p, dtype=float)
-        if len(self.items) != self.p.shape[0]:
-            raise ValueError(
-                f"{len(self.items)} items but {self.p.shape[0]} probabilities"
-            )
+        self.p = checked_weights(self.p, len(self.items), "probabilities")
         if len(set(map(str, self.items))) != len(self.items):
             raise ValueError("items must be distinct")
-        if np.any(self.p <= 0.0):
-            raise ValueError("every item needs strictly positive probability")
-        if abs(self.p.sum() - 1.0) > 1e-9:
-            raise ValueError(f"probabilities sum to {float(self.p.sum())!r}, not 1")
 
     @property
     def n(self) -> int:
@@ -333,16 +325,17 @@ def is_psd(matrix, tol: float | None = None) -> bool:
     return True
 
 
-def checked_weights(weights, n: int) -> np.ndarray:
+def checked_weights(weights, n: int, what: str = "weights") -> np.ndarray:
     """Weights as floats: one per item of an n-item space, each positive,
-    summing to 1 within 1e-9. Raises ValueError otherwise."""
+    summing to 1 within 1e-9. Raises ValueError otherwise, with a message
+    that calls the input ``what``."""
     w = np.asarray(weights, dtype=float)
     if w.shape != (n,):
-        raise ValueError(f"weights shape {w.shape} does not match kernel n={n}")
+        raise ValueError(f"{what} have shape {w.shape}, not one per item of {n}")
     if np.any(w <= 0.0):
-        raise ValueError("weights must be strictly positive")
+        raise ValueError(f"{what} must be strictly positive")
     if abs(w.sum() - 1.0) > 1e-9:
-        raise ValueError(f"weights sum to {float(w.sum())!r}, not 1")
+        raise ValueError(f"{what} sum to {float(w.sum())!r}, not 1")
     return w
 
 

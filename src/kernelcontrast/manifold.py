@@ -22,12 +22,10 @@ from .rng import Stream
 
 __all__ = [
     "NeighborGraph",
-    "GraphLaplacian",
     "DisconnectedGraphError",
     "DegenerateGeometryError",
     "build_graph",
     "shortest_paths",
-    "graph_laplacian",
     "isomap",
     "lle_weights",
     "lle_embed",
@@ -59,12 +57,22 @@ class DegenerateGeometryError(ValueError):
     """Raised when a spectrum lacks enough usable eigenvalues for d coordinates."""
 
 
+def _unit_scale(a: np.ndarray, axes=None):
+    """(a / 2^e, e), e the binary exponent of max |a| over ``axes`` (kept as
+    size-1 axes): the division is exact, and it brings the entries into
+    (-1, 1), where their squares stay in the float range."""
+    e = np.frexp(np.abs(a).max(axis=axes, keepdims=True, initial=0.0))[1]
+    return np.ldexp(a, -e), e
+
+
 def pairwise_distances(data: np.ndarray) -> np.ndarray:
-    """Euclidean distance matrix, exactly symmetric with zero diagonal."""
-    x = np.asarray(data, dtype=float)
+    """Euclidean distance matrix, exactly symmetric with zero diagonal. The
+    points are squared at unit scale (`_unit_scale`) and the distances
+    scaled back, so no square leaves the float range."""
+    x, e = _unit_scale(np.asarray(data, dtype=float))
     sq = np.square(x).sum(axis=1)
     d2 = sq[:, None] + sq[None, :] - 2.0 * (x @ x.T)
-    d = np.sqrt(np.maximum(symmetrize(d2), 0.0))
+    d = np.ldexp(np.sqrt(np.maximum(symmetrize(d2), 0.0)), e)
     np.fill_diagonal(d, 0.0)
     return d
 
@@ -171,19 +179,6 @@ def shortest_paths(g: NeighborGraph) -> np.ndarray:
     return geo
 
 
-@dataclass
-class GraphLaplacian:
-    """Unnormalized Laplacian L = D - W with its degree diagonal."""
-
-    lap: np.ndarray
-    degrees: np.ndarray
-
-
-def graph_laplacian(g: NeighborGraph) -> GraphLaplacian:
-    deg = g.weights.sum(axis=1)
-    return GraphLaplacian(lap=np.diag(deg) - g.weights, degrees=deg)
-
-
 def isomap(data: np.ndarray, d: int, eps: float | None = None, knn: int | None = None) -> np.ndarray:
     """Geodesic MDS: embed graph shortest-path distances in R^d.
 
@@ -202,9 +197,10 @@ def lle_weights(data: np.ndarray, k: int) -> np.ndarray:
     """Reconstruction weights: each point as an affine combination of K neighbors.
 
     Solves min |x_i - sum_j w_ij x_j|^2 subject to sum_j w_ij = 1 through
-    the KKT system of the local Gram matrix C. C is divided by its trace
-    (when positive) first, so it sits at the unit scale of the constraint
-    row and the weights do not change with the unit of the data. The
+    the KKT system of the local Gram matrix C, formed from the neighbour
+    differences at unit scale (`_unit_scale`) and divided by its trace
+    (when positive), so it sits at the unit scale of the constraint row and
+    the weights do not change with the unit of the data. The
     system is solved by least squares with a minimum-norm solution, which
     handles the singular local Gram of K > n0 or degenerate neighborhoods
     without disturbing exact reconstructions. Rows are renormalized to sum
@@ -215,6 +211,7 @@ def lle_weights(data: np.ndarray, k: int) -> np.ndarray:
     if not 1 <= k < n:
         raise ValueError(f"K must be in [1, {n - 1}], got {k}")
     neighbors = _nearest_neighbors(pairwise_distances(x), k)
+    z, _ = _unit_scale(x[neighbors] - x[:, None, :], axes=(1, 2))
     w = np.zeros((n, n))
     kkt = np.zeros((k + 1, k + 1))
     kkt[k, :k] = 1.0
@@ -223,8 +220,7 @@ def lle_weights(data: np.ndarray, k: int) -> np.ndarray:
     rhs[k] = 1.0
     for i in range(n):
         nbrs = neighbors[i]
-        z = x[nbrs] - x[i]
-        c = z @ z.T
+        c = z[i] @ z[i].T
         trace = np.trace(c)
         kkt[:k, :k] = c / trace if trace > 0 else c
         wi = np.linalg.lstsq(kkt, rhs, rcond=None)[0][:k]
@@ -300,7 +296,8 @@ def laplacian_eigenmaps(
 ) -> np.ndarray:
     """Embedding from the generalized eigenproblem L u = lambda D u.
 
-    Gaussian edge weights exp(-dist^2 / t) on the neighbor graph. Solved
+    Gaussian edge weights W = exp(-dist^2 / t) on the neighbor graph, D the
+    diagonal of its row sums (the degrees), and L = D - W. Solved
     through the symmetric reduction D^(-1/2) L D^(-1/2); returned columns
     v_j = D^(-1/2) u_j satisfy V^T D V = I_d and V^T D 1 = 0.
     """
@@ -310,9 +307,9 @@ def laplacian_eigenmaps(
     n = g.n
     if not 1 <= d < n:
         raise ValueError(f"d must be in [1, {n - 1}], got {d}")
-    gl = graph_laplacian(g)
-    root = np.sqrt(gl.degrees)
-    reduced = symmetrize(gl.lap / np.outer(root, root))
+    degrees = g.weights.sum(axis=1)
+    root = np.sqrt(degrees)
+    reduced = symmetrize((np.diag(degrees) - g.weights) / np.outer(root, root))
     eig = eigh(reduced)
     lam = eig.eigenvalues[::-1]
     vec = eig.eigenvectors[:, ::-1]

@@ -17,14 +17,13 @@ from __future__ import annotations
 import numpy as np
 
 from .contrastive import (
-    EmbeddingTable,
     bilinear_scores,
     corpus_stats,
     infonce_tv_gap,
     pair_process,
     row_normalized,
     shifted_pmi_matrix,
-    spectral_loss,
+    spectral_loss_grad,
     train_infonce,
     train_nce,
     train_sgns,
@@ -32,14 +31,7 @@ from .contrastive import (
 )
 from .eigenfunctions import train_eigenfunctions
 from .encoders import OptimizerConfig
-from .kernel_approx import (
-    nystrom_eigenfunction,
-    nystrom_fit,
-    nystrom_gram_approx,
-    rff_features,
-    rff_sample,
-    sample_landmarks,
-)
+from .kernel_approx import nystrom_features, nystrom_fit, rff_features, rff_sample
 from .kernels import (
     FiniteSpace,
     gaussian_kernel,
@@ -50,7 +42,6 @@ from .kernels import (
 from .linear_dr import low_rank_factor
 from .manifold import (
     build_graph,
-    graph_laplacian,
     laplacian_eigenmaps,
     lle_weights,
     shortest_paths,
@@ -186,7 +177,7 @@ def _suite_spectral_ey(seed: int) -> dict:
         rows = stream.uniform(n * n, -2.0, 2.0).reshape(n, n)
         f = root[:, None] * rows
         err = float(np.square(abar - f @ f.T).sum())
-        diffs.append(spectral_loss(EmbeddingTable(rows), process) - err)
+        diffs.append(spectral_loss_grad(rows, process)[0] - err)
     diffs = np.asarray(diffs)
     rel_var = float(diffs.var() / diffs.mean() ** 2)
 
@@ -248,10 +239,11 @@ def _suite_nystrom(seed: int) -> dict:
 
     floor = 1e-5 * float(eigenvalues[0])
     fun_dev = 0.0
+    feats = nystrom_features(model, range(n))
     for i in range(model.usable_rank):
         if eigenvalues[i] <= floor:
             break
-        ext = nystrom_eigenfunction(model, i, range(n))
+        ext = feats[:, i] * np.sqrt(n / model.eigenvalues[i])
         ref = functions[:, i]
         if np.dot(ext, ref) < 0.0:
             ext = -ext
@@ -261,10 +253,9 @@ def _suite_nystrom(seed: int) -> dict:
     for m in (4, 8, 16):
         errs = []
         for trial in range(20):
-            idx = sample_landmarks(n, m, seed + 100 + trial)
-            sub = nystrom_fit(kernel, idx.tolist(), d=m)
-            approx = nystrom_gram_approx(sub, list(range(n)))
-            errs.append(float(np.abs(approx - table).max()))
+            idx = Stream(seed + 100 + trial).choice_without_replacement(n, m)
+            f = nystrom_features(nystrom_fit(kernel, idx.tolist(), d=m), range(n))
+            errs.append(float(np.abs(f @ f.T - table).max()))
         medians.append(float(np.median(errs)))
     regression = max(0.0, max(b - a for a, b in zip(medians, medians[1:])))
 
@@ -341,10 +332,9 @@ def _suite_manifold(seed: int) -> dict:
 
     line = np.arange(12.0)[:, None]
     emb = laplacian_eigenmaps(line, d=2, t=1.0, eps=1.5)
-    lap = graph_laplacian(build_graph(line, eps=1.5, weight="gaussian", t=1.0))
-    dmat = np.diag(lap.degrees)
-    ortho = float(np.abs(emb.T @ dmat @ emb - np.eye(2)).max())
-    centering = float(np.abs(emb.T @ lap.degrees).max())
+    degrees = build_graph(line, eps=1.5, weight="gaussian", t=1.0).weights.sum(axis=1)
+    ortho = float(np.abs(emb.T @ np.diag(degrees) @ emb - np.eye(2)).max())
+    centering = float(np.abs(emb.T @ degrees).max())
     diffs = np.diff(emb[:, 0])
     monotone_violation = max(0.0, min(float(diffs.max()), float((-diffs).max())))
 

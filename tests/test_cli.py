@@ -457,15 +457,17 @@ def test_eigenfun_rejects_weights_off_one_before_training(tmp_path, capsys, monk
 
 @pytest.mark.parametrize("p, augment, message", [
     ([0.45, 0.45], [[0.8, 0.2], [0.2, 0.8]], "probabilities sum to 0.9, not 1"),
+    ([0.6, 0.5], [[0.8, 0.2], [0.2, 0.8]], "probabilities sum to 1.1, not 1"),
     ([0.5, 0.5], [[0.9, 0.2], [0.1, 0.9]], "augment row 0 sums to 1.1, not 1"),
-], ids=["probabilities", "augment"])
+], ids=["probabilities", "probabilities-over", "augment"])
 def test_process_sum_errors_print_plain_numbers(tmp_path, capsys, p, augment, message):
-    """A bad sum is reported as a plain float, not a NumPy scalar repr."""
+    """A bad sum is reported as a plain float, not a NumPy scalar repr, in
+    a message that names the file and the field it rejects."""
     proc = _write_process(tmp_path / "p.json", items=["a", "b"], p=p, augment=augment)
     assert main(["contrast", "spectral", "--process", proc,
                  "--output", str(tmp_path / "o.csv")]) == 1
     err = capsys.readouterr().err
-    assert message in err and "np." not in err
+    assert f"{proc}: {message}" in err and "np." not in err
 
 
 # ---------------------------------------------------------------- analyze

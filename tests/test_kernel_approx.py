@@ -6,17 +6,13 @@ import pytest
 from kernelcontrast import verify
 from kernelcontrast.kernel_approx import (
     RANK_FLOOR,
-    IllConditionedError,
     RffModel,
-    nystrom_eigenfunction,
     nystrom_features,
     nystrom_fit,
-    nystrom_gram_approx,
     rff_features,
     rff_sample,
-    sample_landmarks,
 )
-from kernelcontrast.kernels import gaussian_kernel, gram, linear_kernel
+from kernelcontrast.kernels import cross_gram, gaussian_kernel, gram, linear_kernel
 from kernelcontrast.rng import Stream
 
 
@@ -27,15 +23,22 @@ def _cloud(n, seed=0):
 # ------------------------------------------------------------------ Nystrom
 
 
+def _gram_approx(model, pts):
+    feats = nystrom_features(model, pts)
+    return feats @ feats.T
+
+
 def test_nystrom_collapses_at_landmarks():
-    """Extension evaluated at landmark j equals sqrt(M) u_i[j]."""
+    """The extension of eigenfunction i, feature column i times
+    sqrt(M / lambda_i), evaluated at landmark j equals sqrt(M) u_i[j]."""
     kern = gaussian_kernel(0.8)
     landmarks = _cloud(6, seed=1)
     model = nystrom_fit(kern, landmarks, d=6)
     m = len(landmarks)
+    feats = nystrom_features(model, landmarks)
+    assert feats.shape == (m, model.usable_rank)
     for i in range(model.usable_rank):
-        vals = nystrom_eigenfunction(model, i, landmarks)
-        assert vals.shape == (m,)
+        vals = feats[:, i] * np.sqrt(m / model.eigenvalues[i])
         np.testing.assert_allclose(vals, np.sqrt(m) * model.eigenvectors[:, i], rtol=0, atol=1e-8)
 
 
@@ -44,7 +47,7 @@ def test_nystrom_full_sampling_reproduces_gram():
     kern = gaussian_kernel(1.2)
     pts = _cloud(10, seed=2)
     model = nystrom_fit(kern, pts, d=10)
-    approx = nystrom_gram_approx(model, pts)
+    approx = _gram_approx(model, pts)
     exact = gram(kern, pts)
     assert np.abs(approx - exact).max() < 1e-8
 
@@ -62,9 +65,9 @@ def test_nystrom_error_shrinks_with_landmark_count():
     def median_err(m):
         errs = []
         for trial in range(15):
-            idx = sample_landmarks(16, m, seed=50 + trial)
+            idx = Stream(50 + trial).choice_without_replacement(16, m)
             model = nystrom_fit(kern, [pts[i] for i in idx], d=m)
-            approx = nystrom_gram_approx(model, pts)
+            approx = _gram_approx(model, pts)
             errs.append(np.abs(approx - exact).max())
         return float(np.median(errs))
 
@@ -77,7 +80,7 @@ def test_nystrom_rank_truncation_uses_top_eigenvalues():
     full = nystrom_fit(kern, pts, d=8)
     trunc = nystrom_fit(kern, pts, d=3)
     np.testing.assert_array_equal(trunc.eigenvalues, full.eigenvalues)
-    approx = nystrom_gram_approx(trunc, pts)
+    approx = _gram_approx(trunc, pts)
     # rank of the approximation is at most 3
     from kernelcontrast.kernels import jacobi_eigh
 
@@ -85,47 +88,41 @@ def test_nystrom_rank_truncation_uses_top_eigenvalues():
     assert (lam > 1e-8 * lam[0]).sum() <= 3
 
 
-def test_nystrom_ill_conditioned_eigenvalue_raises():
-    # duplicated landmarks make the Gram singular; asking for the
-    # eigenfunction of a zero eigenvalue must refuse rather than divide
+def test_nystrom_gram_approx_skips_floored_eigenvalues():
+    """Duplicated landmarks make the Gram singular: the zero eigenvalue is
+    at the conditioning floor, so it gets no feature column and nothing
+    divides by it."""
     pt = np.array([0.5, -0.25])
     model = nystrom_fit(gaussian_kernel(1.0), [pt, pt], d=2)
     assert model.usable_rank == 1
-    with pytest.raises(IllConditionedError, match="conditioning floor"):
-        nystrom_eigenfunction(model, 1, [pt])
-    # index outside kept rank is a separate failure mode
-    with pytest.raises(IndexError):
-        nystrom_eigenfunction(model, 2, [pt])
-
-
-def test_nystrom_gram_approx_skips_floored_eigenvalues():
-    pt = np.array([0.5, -0.25])
-    model = nystrom_fit(gaussian_kernel(1.0), [pt, pt], d=2)
-    approx = nystrom_gram_approx(model, [pt])
+    feats = nystrom_features(model, [pt])
+    assert feats.shape == (1, 1)
+    approx = feats @ feats.T
     assert np.isfinite(approx).all()
     assert approx[0, 0] == pytest.approx(1.0, abs=1e-10)
 
 
 def test_nystrom_gram_approx_is_feature_inner_products():
+    """F F^T is C U diag(1/lambda) U^T C^T over the kept, usable eigenpairs."""
     kern = gaussian_kernel(0.6)
     pts = _cloud(12, seed=4)
     model = nystrom_fit(kern, pts[:5], d=4)
     feats = nystrom_features(model, pts)
     assert feats.shape == (12, min(model.rank, model.usable_rank))
-    np.testing.assert_array_equal(nystrom_gram_approx(model, pts), feats @ feats.T)
+    c = cross_gram(kern, pts, pts[:5])
+    u = model.eigenvectors[:, : feats.shape[1]]
+    expected = c @ u @ np.diag(1.0 / model.eigenvalues[: feats.shape[1]]) @ u.T @ c.T
+    np.testing.assert_allclose(feats @ feats.T, expected, rtol=0, atol=1e-12)
 
 
 def test_usable_rank_is_what_the_extension_can_divide_by():
     """With the largest eigenvalue below 1, usable_rank still counts only
-    eigenvalues above the absolute floor the extension and features use."""
+    eigenvalues above the absolute floor, and the features keep just those."""
     pts = [np.array([0.1, 0.0]), np.array([0.1, 3e-6])]
     model = nystrom_fit(linear_kernel(), pts, d=2)
     assert RANK_FLOOR * model.eigenvalues[0] < model.eigenvalues[1] <= RANK_FLOOR
     assert model.usable_rank == 1
     assert nystrom_features(model, pts).shape == (2, 1)
-    nystrom_eigenfunction(model, 0, pts)
-    with pytest.raises(IllConditionedError):
-        nystrom_eigenfunction(model, 1, pts)
 
 
 def test_nystrom_fit_validation():
@@ -136,8 +133,9 @@ def test_nystrom_fit_validation():
 
 
 def test_sample_landmarks_distinct_and_deterministic():
-    a = sample_landmarks(30, 10, seed=7)
-    b = sample_landmarks(30, 10, seed=7)
+    """Landmark indices are drawn with `Stream.choice_without_replacement`."""
+    a = Stream(7).choice_without_replacement(30, 10)
+    b = Stream(7).choice_without_replacement(30, 10)
     np.testing.assert_array_equal(a, b)
     assert len(set(a.tolist())) == 10
 

@@ -277,13 +277,14 @@ def test_oracles_never_call_lapack(monkeypatch):
 
 
 def test_finite_space_rejects_bad_distributions():
-    with pytest.raises(ValueError, match="positive"):
+    """`checked_weights` checks p, and every message names the probabilities."""
+    with pytest.raises(ValueError, match="probabilities must be strictly positive"):
         FiniteSpace(["a", "b"], np.array([1.0, 0.0]))
-    with pytest.raises(ValueError, match="sum"):
+    with pytest.raises(ValueError, match="probabilities sum to 1.1, not 1"):
         FiniteSpace(["a", "b"], np.array([0.5, 0.6]))
     with pytest.raises(ValueError, match="distinct"):
         FiniteSpace(["a", "a"], np.array([0.5, 0.5]))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"probabilities have shape \(2,\), not one per item of 3"):
         FiniteSpace(["a", "b", "c"], np.array([0.5, 0.5]))
 
 
@@ -385,10 +386,6 @@ def test_cross_gram_matches_pairwise_definition(case):
 _KERNEL_CALLERS = {
     "gram": lambda kern, pts, model: gram(kern, pts),
     "nystrom_features": lambda kern, pts, model: kernel_approx.nystrom_features(model, pts),
-    "nystrom_gram_approx": lambda kern, pts, model: kernel_approx.nystrom_gram_approx(model, pts),
-    "nystrom_eigenfunction": lambda kern, pts, model: kernel_approx.nystrom_eigenfunction(
-        model, 0, pts
-    ),
 }
 
 

@@ -84,7 +84,6 @@ from kernelcontrast.kernels import (
 from kernelcontrast.linear_dr import double_center
 from kernelcontrast.manifold import (
     build_graph,
-    graph_laplacian,
     lle_weights,
     pairwise_distances,
     shortest_paths,
@@ -403,11 +402,6 @@ def test_graph_matches_edge_list(kind, seed, weight):
     np.testing.assert_array_equal(g.adjacency, adjacency)
     assert g.weights.tobytes() == weights.tobytes()
     assert g.components == _dfs_components(n, edges)
-
-    lap = graph_laplacian(g)
-    deg = weights.sum(axis=1)
-    assert lap.degrees.tobytes() == deg.tobytes()
-    assert lap.lap.tobytes() == (np.diag(deg) - weights).tobytes()
 
     geo = shortest_paths(g)
     want = _heap_dijkstra(n, edges)

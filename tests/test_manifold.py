@@ -6,7 +6,6 @@ from kernelcontrast.manifold import (
     DisconnectedGraphError,
     NeighborGraph,
     build_graph,
-    graph_laplacian,
     isomap,
     laplacian_eigenmaps,
     latent_arc_length,
@@ -32,6 +31,14 @@ def test_pairwise_distances_basics():
     assert d[0, 1] == 1.0 and d[0, 3] == 10.0
     np.testing.assert_array_equal(d, d.T)
     np.testing.assert_array_equal(np.diag(d), np.zeros(4))
+
+
+@pytest.mark.parametrize("scale", [2.0**-900, 2.0**900])
+def test_pairwise_distances_scale_exactly_by_powers_of_two(scale):
+    """Squared coordinates of 2^+-900 leave the float range; the distances
+    must not, and a power-of-two scale carries through bit for bit."""
+    x = Stream(1).normal(60).reshape(20, 3)
+    assert (pairwise_distances(scale * x) / scale).tobytes() == pairwise_distances(x).tobytes()
 
 
 def test_eps_graph_edges():
@@ -137,26 +144,6 @@ def test_chain_geodesic_accumulates_edges():
     assert geo[0, 3] == pytest.approx(3.5)
 
 
-# ---------------------------------------------------------------- laplacian
-
-
-def test_laplacian_rows_sum_to_zero():
-    g = build_graph(Stream(0).uniform(20, -1, 1).reshape(10, 2), knn=3)
-    gl = graph_laplacian(g)
-    np.testing.assert_allclose(gl.lap.sum(axis=1), 0.0, atol=1e-12)
-    np.testing.assert_array_equal(np.diag(gl.lap), gl.degrees)
-
-
-def test_laplacian_quadratic_form_identity():
-    """x' L x = sum over edges of w_ij (x_i - x_j)^2."""
-    g = build_graph(Stream(2).uniform(16, -1, 1).reshape(8, 2), knn=2)
-    gl = graph_laplacian(g)
-    x = Stream(3).normal(8)
-    i, j = np.nonzero(np.triu(g.adjacency))
-    direct = float(np.sum(g.weights[i, j] * (x[i] - x[j]) ** 2))
-    assert x @ gl.lap @ x == pytest.approx(direct, abs=1e-12)
-
-
 # ------------------------------------------------------------------- isomap
 
 
@@ -205,14 +192,22 @@ def test_lle_weights_exact_barycentric_case():
     assert w[0, 2] == pytest.approx(0.5, abs=1e-9)
 
 
-@pytest.mark.parametrize("scale", [1e-100, 1e-8, 1e8, 1e100])
+@pytest.mark.parametrize(
+    "scale", [1e-100, 1e-8, 1e8, 1e100, 1e-300, 1e300, 2.0**-900, 2.0**900]
+)
 def test_lle_weights_do_not_depend_on_the_unit(scale):
     """Rescaling the data leaves the reconstruction weights unchanged
     (Roweis & Saul 2000): the local Gram scales as scale**2, and the
-    solve must not let that reach its rank cutoff."""
+    solve must not let that reach its rank cutoff. Past 1e+-154 the
+    squares of raw coordinates leave the float range, so neither the
+    neighbour search nor the local Gram may square them; and scaling by a
+    power of two is exact, so it must leave every bit of the weights."""
     data, _ = swiss_roll(200, seed=0)
     reference = lle_weights(data, k=8)
-    np.testing.assert_allclose(lle_weights(scale * data, k=8), reference, rtol=0, atol=1e-10)
+    weights = lle_weights(scale * data, k=8)
+    if scale in (2.0**-900, 2.0**900):
+        assert weights.tobytes() == reference.tobytes()
+    np.testing.assert_allclose(weights, reference, rtol=0, atol=1e-10)
 
 
 def test_lle_weights_reconstruct_interior_points():
@@ -300,7 +295,7 @@ def test_laplacian_eigenmaps_constraints():
     pts = np.linspace(0.0, 11.0, 12).reshape(12, 1)
     emb = laplacian_eigenmaps(pts, 2, t=1.0, eps=1.5)
     g = build_graph(pts, eps=1.5, weight="gaussian", t=1.0)
-    deg = graph_laplacian(g).degrees
+    deg = g.weights.sum(axis=1)
     np.testing.assert_allclose(emb.T @ (deg[:, None] * emb), np.eye(2), atol=1e-8)
     np.testing.assert_allclose(emb.T @ deg, 0.0, atol=1e-8)
 
