@@ -62,7 +62,14 @@ from .fileio import (
     save_matrix_csv,
 )
 from .kernel_approx import nystrom_features, nystrom_fit, rff_features, rff_sample
-from .kernels import gaussian_kernel, gram, linear_kernel, mercer_decompose, polynomial_kernel
+from .kernels import (
+    checked_weights,
+    gaussian_kernel,
+    gram,
+    linear_kernel,
+    mercer_decompose,
+    polynomial_kernel,
+)
 from .linear_dr import mds_embed, pca_fit, pca_transform
 from .manifold import (
     isomap,
@@ -499,6 +506,10 @@ def _contrast(v) -> _Outcome:
 def _eigenfun(v) -> _Outcome:
     table = load_sym_csv(v.kernel)
     weights = load_matrix_csv(v.p).ravel()
+    try:
+        weights = checked_weights(weights, table.shape[0])
+    except ValueError as exc:
+        raise ParseError(f"{v.p}: {exc}") from None
     result = train_eigenfunctions(table, weights, v.dim, config=v.optimizer)
     eigenvalues, functions = mercer_decompose(table, weights)
     deviation, cosines = eigenfunction_gaps(result, eigenvalues, functions, weights)

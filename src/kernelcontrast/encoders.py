@@ -12,6 +12,7 @@ structure.
 from __future__ import annotations
 
 import collections
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,7 +22,6 @@ from .rng import Stream
 __all__ = [
     "sigmoid",
     "k_sigmoid",
-    "softplus",
     "softmax",
     "EmbeddingTable",
     "grad_check",
@@ -76,11 +76,6 @@ def k_sigmoid(z, k: float):
     if not k > 0.0:
         raise ValueError(f"k must be positive, got {k!r}")
     return sigmoid(np.asarray(z, dtype=float) - np.log(k))
-
-
-def softplus(z):
-    """log(1 + e^z) without overflow; equals -log sigmoid(-z)."""
-    return np.logaddexp(0.0, np.asarray(z, dtype=float))
 
 
 def softmax(z):
@@ -207,7 +202,7 @@ def minimize(fun, x0: np.ndarray, config: OptimizerConfig | None = None) -> Opti
     x = np.asarray(x0, dtype=float).copy()
     loss, grad = fun(x)
     evaluations = 1
-    if not np.isfinite(loss):
+    if not math.isfinite(loss):
         raise ValueError(f"initial loss is not finite: {float(loss)!r}")
     trace = [float(loss)]
     recent = collections.deque(trace, maxlen=NONMONOTONE)
@@ -218,7 +213,7 @@ def minimize(fun, x0: np.ndarray, config: OptimizerConfig | None = None) -> Opti
     best_x, best_gnorm2 = x, gnorm2
     flat_steps = 0
     while True:
-        if np.sqrt(gnorm2) <= cfg.tol:
+        if math.sqrt(gnorm2) <= cfg.tol:
             stop_reason = "gradient"
             break
         if flat_steps >= STALL_WINDOW:
@@ -232,7 +227,7 @@ def minimize(fun, x0: np.ndarray, config: OptimizerConfig | None = None) -> Opti
             candidate = x - step * grad
             cand_loss, cand_grad = fun(candidate)
             evaluations += 1
-            if np.isfinite(cand_loss) and cand_loss <= reference - ARMIJO_C * step * gnorm2:
+            if math.isfinite(cand_loss) and cand_loss <= reference - ARMIJO_C * step * gnorm2:
                 break
             step *= 0.5
         else:
@@ -247,7 +242,7 @@ def minimize(fun, x0: np.ndarray, config: OptimizerConfig | None = None) -> Opti
         recent.append(float(loss))
         gnorm2 = float(np.dot(grad, grad))
         lowest = trace[-1]
-        flat = lowest - loss <= STALL_ULPS * np.spacing(abs(lowest))
+        flat = lowest - loss <= STALL_ULPS * math.ulp(abs(lowest))
         if loss < lowest:
             low_x, low_gnorm2 = x, gnorm2
         trace.append(min(lowest, float(loss)))
@@ -268,6 +263,6 @@ def minimize(fun, x0: np.ndarray, config: OptimizerConfig | None = None) -> Opti
         trace=np.asarray(trace),
         iterations=len(trace) - 1,
         evaluations=evaluations,
-        grad_norm=float(np.sqrt(gnorm2)),
+        grad_norm=math.sqrt(gnorm2),
         stop_reason=stop_reason,
     )

@@ -7,11 +7,26 @@ roster is visible even though pytest captures per-test stdout.
 
 import os
 
+import numpy as np
 import pytest
 
 from kernelcontrast import fileio
 
 ACCEPTANCE_LINES: list = []
+
+
+def softplus(z):
+    """log(1 + e^z) without overflow, for the tests' loss oracles: the
+    library applies it only inside the weighted logistic loss.
+
+    Computed as max(z, 0) + log1p(e^-|z|), the split the library's loss
+    takes, with the same vectorized exp and log1p. `np.logaddexp(0, z)`
+    splits the same way but calls the C library per element, whose
+    rounding differs from NumPy's vectorized loops in the last bit on
+    some machines, so an oracle built on it would not hold the library's
+    bits there."""
+    z = np.asarray(z, dtype=float)
+    return np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

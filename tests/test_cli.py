@@ -442,7 +442,8 @@ def test_eigenfun_reports_oracle_agreement(tmp_path, capsys):
 
 
 def test_eigenfun_rejects_weights_off_one_before_training(tmp_path, capsys, monkeypatch):
-    """Weights that do not sum to 1 exit 1 before the first training stage."""
+    """Weights that do not sum to 1 exit 1 before the first training stage,
+    with a message that names the weights file."""
     calls = []
     monkeypatch.setattr(eigenfunctions, "minimize", lambda *a: calls.append(a))
     kern = tmp_path / "k.csv"
@@ -452,7 +453,8 @@ def test_eigenfun_rejects_weights_off_one_before_training(tmp_path, capsys, monk
     assert main(["eigenfun", "--kernel", str(kern), "--p", str(pfile), "--dim", "2",
                  "--output", str(tmp_path / "f.csv")]) == 1
     assert not calls
-    assert capsys.readouterr().err == "kc: error: weights sum to 0.8999999999999999, not 1\n"
+    err = capsys.readouterr().err
+    assert err == f"kc: error: {pfile}: weights sum to 0.8999999999999999, not 1\n"
 
 
 @pytest.mark.parametrize("p, augment, message", [

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import softplus
 from kernelcontrast.contrastive import (
     EnumerationBudgetError,
     ProbeTask,
@@ -200,8 +201,6 @@ def test_sgns_k_sigmoid_is_a_score_shift():
     # same loss as plain sigmoid with log k subtracted from every score:
     # verified by shifting psi along a direction that adds -log k... the
     # cleanest equivalent is scoring phi psi' - log k by hand
-    from kernelcontrast.encoders import softplus
-
     z = phi.rows @ psi.rows.T - np.log(k)
     q = stats.pair_marginal
     w_neg = k * np.outer(stats.counts.sum(axis=1), q)

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import softplus
 from kernelcontrast.contrastive import corpus_stats, shifted_pmi_matrix, train_sgns
 from kernelcontrast.eigenfunctions import train_eigenfunctions
 from kernelcontrast.encoders import (
@@ -14,7 +15,6 @@ from kernelcontrast.encoders import (
     minimize,
     sigmoid,
     softmax,
-    softplus,
 )
 from kernelcontrast.kernels import gaussian_kernel, gram, mercer_decompose
 from kernelcontrast.rng import Stream

@@ -22,9 +22,15 @@ and the two loss functions that each wrote those out for themselves live
 on below, and the library must agree with them bit for bit: the tables and
 each fit's path (x, trace, iterations, evaluations, stop reason). The
 weighted logistic loss computes both softplus terms and the sigmoid from one
-softplus(-|z|) and one exp(-|z|), and must equal the separate `softplus` and
+exp(-|z|) and its log1p, and must equal the separate `softplus` and
 `sigmoid` calls of the loop bodies bit for bit on every logit, the edge
-cases included. `train_sgns` trains count-preconditioned tables, and its
+cases included. The loop bodies' `softplus` (from conftest) is
+max(z, 0) + log1p(exp(-|z|)) in NumPy's vectorized exp and log1p. The
+replaced code called ``np.logaddexp(0, z)``, which rounds through the C
+library's exp and log1p and, on some machines, differs from the vectorized
+loops in the last bit; so these oracles, the ones named "matches parent",
+pin the loss's arithmetic (its terms and their order), not the replaced
+code's rounding. `train_sgns` trains count-preconditioned tables, and its
 loop body below takes the same change of variables. The linear probe is a
 closed-form least-squares fit; its normal equations, summed item by item,
 are its oracle.
@@ -47,6 +53,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import softplus
 from kernelcontrast.contrastive import (
     CorpusStats,
     ProbeTask,
@@ -68,7 +75,6 @@ from kernelcontrast.encoders import (
     OptimizerConfig,
     minimize,
     sigmoid,
-    softplus,
 )
 from kernelcontrast.fileio import load_sym_csv, save_sym_csv
 from kernelcontrast.kernels import (
@@ -632,7 +638,7 @@ def test_sgns_loss_grad_matches_parent(activation, neg_exponent):
         assert g.tobytes() == w.tobytes()
 
 
-# Logits where the fused kernel's shared softplus(-|z|) and exp(-|z|) meet
+# Logits where the fused kernel's shared exp(-|z|) and its log1p meet
 # their edge cases: signed zeros, infinities, a tiny |z| (1e-300), exp
 # overflow (710) and underflow (745.2), and 36.7, near where 1 + e^-|z|
 # rounds to 1.

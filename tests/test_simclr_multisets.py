@@ -2,15 +2,19 @@
 
 The library enumerates candidate multisets with multinomial weights. The
 oracles below enumerate every ordered tuple, the definition read
-literally, and share no enumeration code with the library.
+literally, and share no enumeration code with the library. The exact
+sum of the loss terms is checked against ``math.fsum``.
 """
 
 import itertools
+import math
+import re
 
 import numpy as np
 import pytest
 
 from kernelcontrast.contrastive import (
+    _exact_sum,
     _multisets,
     infonce_tv_gap,
     pair_process,
@@ -153,3 +157,53 @@ def test_closed_form_optimum_at_eight_items(b):
     if b == 4:
         mean, stderr = simclr_loss_mc(scores, process, b, n_samples=40_000, seed=5)
         assert abs(mean - loss) < 4.0 * stderr
+
+
+def _sum_battery():
+    """Seeded nonnegative vectors: empty, single values, zeros, subnormals,
+    exponents spanning 1e-300 to 1e+300, lengths up to 6,000."""
+    rng = np.random.default_rng(23)
+    yield np.zeros(0)
+    yield from (np.array([v]) for v in (0.0, 5e-324, 1.0, 0.1, 1.7e308))
+    yield np.zeros(100)
+    yield np.full(7, 5e-324)
+    for trial in range(200):
+        n = int(rng.integers(1, 6001)) if trial % 4 else int(rng.integers(1, 9))
+        kind = trial % 5
+        if kind == 0:
+            v = rng.random(n)
+        elif kind == 1:
+            v = 10.0 ** rng.uniform(-300.0, 300.0, n)
+        elif kind == 2:  # subnormals
+            v = rng.integers(0, 2**52, n) * 5e-324
+        elif kind == 3:  # one decade, so many values share an exponent bin
+            v = 1.0 + rng.random(n)
+        else:
+            v = 10.0 ** rng.uniform(-320.0, 300.0, n)
+            v[rng.random(n) < 0.3] = 0.0
+        yield v
+
+
+def test_exact_sum_is_fsum_bit_for_bit():
+    for v in _sum_battery():
+        got, want = _exact_sum(v), math.fsum(v.tolist())
+        assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want), v[:4]
+
+
+@pytest.mark.parametrize("values", [
+    [-0.0], [-0.0, -0.0], [0.0, -0.0], [-1.0, 2.5, 1e-300], [1.0, -1.0, 1e-30],
+    [np.inf, 1.0], [np.nan, 1.0], [np.inf, -np.inf], [1e308, 1e308],
+], ids=["neg-zero", "neg-zeros", "mixed-zeros", "negative", "cancel", "inf", "nan",
+        "inf-minus-inf", "overflow"])
+def test_exact_sum_returns_what_fsum_returns(values):
+    """Signed, non-finite or overflowing input gets fsum's value or its error."""
+    v = np.array(values)
+    try:
+        want = math.fsum(values)
+    except (OverflowError, ValueError) as exc:
+        with pytest.raises(type(exc), match=re.escape(str(exc))):
+            _exact_sum(v)
+        return
+    got = _exact_sum(v)
+    assert got == want or (math.isnan(got) and math.isnan(want))
+    assert math.copysign(1.0, got) == math.copysign(1.0, want)
