@@ -423,8 +423,8 @@ def _kernel_approx(v) -> _Outcome:
     metrics: dict = {}
 
     if v.method == "nystrom":
-        if v.landmarks > n:
-            raise UsageError(f"--landmarks {v.landmarks} exceeds the {n} input points")
+        if not 1 <= v.landmarks <= n:
+            raise UsageError(f"--landmarks must lie in [1, {n}], the input points; got {v.landmarks}")
         idx = Stream(v.seed).choice_without_replacement(n, v.landmarks)
         model = nystrom_fit(kernel, [data[i] for i in idx], v.rank)
         feats = nystrom_features(model, data)

@@ -83,11 +83,14 @@ def _shift(k: float, activation: str) -> float:
     raise ValueError(f"unknown activation {activation!r}")
 
 
-def _logistic_loss_grad(z: np.ndarray, w_pos, w_neg):
+def _logistic_loss_grad(z: np.ndarray, w_pos, w_neg, w_sum):
     """The NCE weighted binary cross-entropy on logits z (Gutmann &
     Hyvarinen 2010), of which SGNS is the word-context case (Levy &
-    Goldberg 2014): sum w+ log(1 + e^-z) + w- log(1 + e^z), and its
-    gradient (w+ + w-) sigmoid(z) - w+ in z.
+    Goldberg 2014): sum w+ log(1 + e^-z) + w- log(1 + e^z), and a
+    zero-argument function that computes its gradient (w+ + w-) sigmoid(z)
+    - w+ in z, given w_sum = w+ + w-. A trainer forms w_sum once, and
+    `minimize` calls the function only for the start and the trials it
+    accepts.
 
     One exponential e = exp(-|z|) serves both softplus terms,
     softplus(+-z) = max(+-z, 0) + log1p(e), and the sigmoid, which equals
@@ -98,15 +101,17 @@ def _logistic_loss_grad(z: np.ndarray, w_pos, w_neg):
     e = np.exp(-np.abs(z))
     tail = np.log1p(e)
     loss = (w_pos * (np.maximum(-z, 0.0) + tail) + w_neg * (np.maximum(z, 0.0) + tail)).sum()
-    return loss, (w_pos + w_neg) * (np.where(z >= 0.0, 1.0, e) / (1.0 + e)) - w_pos
+    return loss, lambda: w_sum * (np.where(z >= 0.0, 1.0, e) / (1.0 + e)) - w_pos
 
 
 def _fit_tables(objective, n: int, d: int, count: int, cfg: OptimizerConfig, scale=1.0):
     """Minimize ``objective`` over ``count`` n x d tables in one `minimize` run.
 
     Table i starts from ``EmbeddingTable.random(n, d, cfg.seed + i)``, and
-    ``objective(*tables)`` returns the loss and one gradient per table.
-    Returns the trained tables, each carrying the run as ``fits``.
+    ``objective(*tables)`` returns the loss and a zero-argument function
+    that returns one gradient per table; `minimize` calls it only for the
+    start and the trials it accepts. Returns the trained tables, each
+    carrying the run as ``fits``.
 
     ``minimize`` runs on the tables divided by ``scale``, which broadcasts
     against the (count, n, d) stack: a diagonal preconditioner by change of
@@ -115,8 +120,8 @@ def _fit_tables(objective, n: int, d: int, count: int, cfg: OptimizerConfig, sca
     """
 
     def packed(flat):
-        loss, *grads = objective(*(flat.reshape(count, n, d) * scale))
-        return loss, (np.array(grads) * scale).reshape(-1)
+        loss, grads = objective(*(flat.reshape(count, n, d) * scale))
+        return loss, lambda: (np.array(grads()) * scale).reshape(-1)
 
     x0 = np.stack([EmbeddingTable.random(n, d, cfg.seed + i).rows for i in range(count)])
     fit = minimize(packed, (x0 / scale).reshape(-1), cfg)
@@ -235,8 +240,8 @@ def nce_loss_grad(scores, labels, k: float):
     if not np.isin(y, (0.0, 1.0)).all():
         raise ValueError("labels must be 0 or 1")
     m = s.shape[0]
-    loss, grad = _logistic_loss_grad(s - shift, y, 1.0 - y)
-    return float(loss / m), grad / m
+    loss, grad = _logistic_loss_grad(s - shift, y, 1.0 - y, 1.0)  # y + (1 - y) = 1
+    return float(loss / m), grad() / m
 
 
 def train_nce(
@@ -265,10 +270,11 @@ def train_nce(
         raise ValueError("each item needs nonnegative counts, not all zero")
     shift = _shift(k, activation)
     total = pos.sum() + neg.sum()
+    both = pos + neg
 
     def objective(theta):
-        loss, grad = _logistic_loss_grad(theta[:, 0] - shift, pos, neg)
-        return loss / total, grad / total
+        loss, grad = _logistic_loss_grad(theta[:, 0] - shift, pos, neg, both)
+        return loss / total, lambda: (grad() / total,)
 
     cfg = config or OptimizerConfig(tol=1e-9)
     (scores,) = _fit_tables(objective, pos.shape[0], 1, 1, cfg)
@@ -298,14 +304,22 @@ def sgns_loss_grad(
         raise ValueError("embedding tables must have one row per vocabulary item")
     if phi_rows.shape[1] != psi_rows.shape[1]:
         raise ValueError("target and context tables must share a dimension")
-    return _sgns_core(phi_rows, psi_rows, shift, *_sgns_weights(stats, k, neg_exponent))
+    w_pos, w_neg = _sgns_weights(stats, k, neg_exponent)
+    loss, grads = _sgns_core(phi_rows, psi_rows, shift, w_pos, w_neg, w_pos + w_neg)
+    return (loss, *grads())
 
 
-def _sgns_core(phi_rows, psi_rows, shift, w_pos, w_neg):
-    """`sgns_loss_grad` on checked tables, with the shift and weights given."""
+def _sgns_core(phi_rows, psi_rows, shift, w_pos, w_neg, w_sum):
+    """`sgns_loss_grad` on checked tables, with the shift and weights given:
+    the loss and a zero-argument function that computes both gradients."""
     z = phi_rows @ psi_rows.T - shift
-    loss, dz = _logistic_loss_grad(z, w_pos, w_neg)
-    return float(loss), dz @ psi_rows, dz.T @ phi_rows
+    loss, dz = _logistic_loss_grad(z, w_pos, w_neg, w_sum)
+
+    def grads():
+        g = dz()
+        return g @ psi_rows, g.T @ phi_rows
+
+    return float(loss), grads
 
 
 def _sgns_weights(stats: CorpusStats, k: float, neg_exponent: float):
@@ -355,11 +369,12 @@ def train_sgns(
     cfg = config or OptimizerConfig(tol=1e-9, max_iter=20000)
     shift = _shift(k, activation)  # rejects a bad k before it enters the weights
     w_pos, w_neg = _sgns_weights(stats, k, neg_exponent)
-    curvature = (w_pos + w_neg) / 4.0
+    w_sum = w_pos + w_neg
+    curvature = w_sum / 4.0
     scale = 1.0 / np.sqrt(np.stack((curvature.sum(axis=1), curvature.sum(axis=0))))
 
     def objective(phi_rows, psi_rows):
-        return _sgns_core(phi_rows, psi_rows, shift, w_pos, w_neg)
+        return _sgns_core(phi_rows, psi_rows, shift, w_pos, w_neg, w_sum)
 
     phi, psi = _fit_tables(objective, n, d, 2, cfg, scale[:, :, None])
     return phi, psi
@@ -686,7 +701,7 @@ def train_infonce(
 
         def untied(f_rows, g_rows):
             loss, ds = simclr_loss_grad(f_rows @ g_rows.T / tau, process, b)
-            return loss, ds @ g_rows / tau, ds.T @ f_rows / tau
+            return loss, lambda: (ds @ g_rows / tau, ds.T @ f_rows / tau)
 
         f, g = _fit_tables(untied, n, d, 2, cfg)
         return f, g
@@ -698,8 +713,12 @@ def train_infonce(
                 raise ValueError("cosine score undefined: an embedding row is zero")
             unit = rows / norms[:, None]
             loss, ds = simclr_loss_grad(unit @ unit.T / tau, process, b)
-            du = (ds + ds.T) @ unit / tau
-            return loss, (du - unit * (du * unit).sum(axis=1, keepdims=True)) / norms[:, None]
+
+            def grads():
+                du = (ds + ds.T) @ unit / tau
+                return ((du - unit * (du * unit).sum(axis=1, keepdims=True)) / norms[:, None],)
+
+            return loss, grads
 
         (phi,) = _fit_tables(tied, n, d, 1, cfg)
         return phi
@@ -744,7 +763,12 @@ def train_spectral(
     if not 1 <= d <= n:
         raise ValueError(f"d must be in [1, {n}], got {d}")
     cfg = config or OptimizerConfig(tol=1e-9, max_iter=20000)
-    (phi,) = _fit_tables(lambda rows: spectral_loss_grad(rows, process), n, d, 1, cfg)
+
+    def objective(rows):
+        loss, grad = spectral_loss_grad(rows, process)
+        return loss, lambda: (grad,)
+
+    (phi,) = _fit_tables(objective, n, d, 1, cfg)
     return phi
 
 

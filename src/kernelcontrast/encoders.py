@@ -126,16 +126,24 @@ class EmbeddingTable:
         return cls(rows.reshape(n_items, dim))
 
 
+def _evaluated(grad):
+    """A gradient as `minimize` and `grad_check` take it from ``fun``: an
+    array, or a zero-argument function that computes one."""
+    return grad() if callable(grad) else grad
+
+
 def grad_check(fun, params: np.ndarray, epsilon: float = 1e-5) -> float:
     """Largest relative gap between analytic and central-difference gradients.
 
-    ``fun(params)`` must return ``(loss, grad)``. Each coordinate is
-    perturbed by +/- epsilon; the per-coordinate relative error divides by
-    max(1, |analytic|) so near-zero components are compared absolutely.
+    ``fun(params)`` must return ``(loss, grad)``, with ``grad`` an array or
+    a zero-argument function that computes it, as for `minimize`; the two
+    forms give the same value. Each coordinate is perturbed by +/- epsilon;
+    the per-coordinate relative error divides by max(1, |analytic|) so
+    near-zero components are compared absolutely.
     """
     params = np.asarray(params, dtype=float)
     _, grad = fun(params)
-    grad = np.asarray(grad, dtype=float)
+    grad = np.asarray(_evaluated(grad), dtype=float)
     if grad.shape != params.shape:
         raise ValueError(f"gradient shape {grad.shape} != params shape {params.shape}")
     worst = 0.0
@@ -173,6 +181,12 @@ def minimize(fun, x0: np.ndarray, config: OptimizerConfig | None = None) -> Opti
     the run as a whole descends. Raises DivergenceError if no step down to
     MIN_STEP passes.
 
+    ``fun(x)`` returns ``(loss, grad)``, and ``grad`` may be a zero-argument
+    function that computes the gradient instead of the gradient itself. The
+    Armijo test reads only the loss, so `minimize` calls that function only
+    for the starting point and for each trial it accepts: a rejected trial
+    costs one loss evaluation and no gradient.
+
     The run stops for one of three reasons, recorded as ``stop_reason``:
 
     * ``"gradient"``: the gradient norm fell to ``tol`` or below;
@@ -195,12 +209,14 @@ def minimize(fun, x0: np.ndarray, config: OptimizerConfig | None = None) -> Opti
         the accepted iterates so far, one entry per iterate starting with
         the initial loss, so it is monotone nonincreasing; ``iterations``
         the number of accepted steps (``len(trace) - 1``); ``evaluations``
-        the number of calls of ``fun``; ``grad_norm`` the gradient norm at
-        ``x``.
+        the number of calls of ``fun``, so of loss evaluations (a deferred
+        gradient is computed ``iterations + 1`` times); ``grad_norm`` the
+        gradient norm at ``x``.
     """
     cfg = config or OptimizerConfig()
     x = np.asarray(x0, dtype=float).copy()
     loss, grad = fun(x)
+    grad = _evaluated(grad)
     evaluations = 1
     if not math.isfinite(loss):
         raise ValueError(f"initial loss is not finite: {float(loss)!r}")
@@ -235,6 +251,7 @@ def minimize(fun, x0: np.ndarray, config: OptimizerConfig | None = None) -> Opti
                 f"line search failed at loss {float(loss)!r}: no step above "
                 f"{MIN_STEP:g} passes the Armijo test"
             )
+        cand_grad = _evaluated(cand_grad)
         s, y = candidate - x, cand_grad - grad
         sy = float(np.dot(s, y))
         step = float(np.dot(s, s)) / sy if sy > 0.0 else 2.0 * step

@@ -160,23 +160,26 @@ def jacobi_eigh(matrix) -> EigenDecomposition:
     rounds = _round_robin(n)
     k = n // 2
 
-    for sweep in range(JACOBI_MAX_SWEEPS + 1):
-        off = np.sqrt(2.0 * np.square(np.triu(a, 1)).sum())
-        converged = off <= threshold
-        if sweep == JACOBI_MAX_SWEEPS and not converged:
-            raise RuntimeError(
-                f"Jacobi iteration failed to converge in {JACOBI_MAX_SWEEPS} sweeps "
-                f"(n={n}, residual {off:.3e} > {threshold:.3e})"
-            )
-        for plane in rounds:
-            p, q = plane[:k], plane[::-1][:k]
-            apq = a[p, q]
-            diag = a[plane, plane]
-            skip = apq == 0.0
-            # A zero pivot makes tau 0/0 or x/0; that plane keeps c = 1, s = 0.
-            # A subnormal pivot can overflow tau to inf, which gives t = 0:
-            # the rotation 1/(2 tau) is below the smallest float anyway.
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+    # A zero pivot makes tau 0/0 or x/0; that plane keeps c = 1, s = 0. A
+    # subnormal pivot can overflow tau to inf, which gives t = 0: the
+    # rotation 1/(2 tau) is below the smallest float anyway. The state is
+    # entered once for the whole iteration and silences nothing else: the
+    # rotations keep the Frobenius norm, so the rest can overflow only when
+    # that norm does, and computing `threshold` has then warned already.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for sweep in range(JACOBI_MAX_SWEEPS + 1):
+            off = np.sqrt(2.0 * np.square(np.triu(a, 1)).sum())
+            converged = off <= threshold
+            if sweep == JACOBI_MAX_SWEEPS and not converged:
+                raise RuntimeError(
+                    f"Jacobi iteration failed to converge in {JACOBI_MAX_SWEEPS} sweeps "
+                    f"(n={n}, residual {off:.3e} > {threshold:.3e})"
+                )
+            for plane in rounds:
+                p, q = plane[:k], plane[::-1][:k]
+                apq = a[p, q]
+                diag = a[plane, plane]
+                skip = apq == 0.0
                 tau = (diag[::-1][:k] - diag[:k]) / (2.0 * apq)
                 # hypot instead of sqrt(1 + tau^2): tau^2 overflows when the
                 # off-diagonal entry is many orders below the diagonal gap,
@@ -184,23 +187,23 @@ def jacobi_eigh(matrix) -> EigenDecomposition:
                 t = np.where(tau >= 0.0, 1.0, -1.0) / (np.abs(tau) + np.hypot(1.0, tau))
                 c = np.where(skip, 1.0, 1.0 / np.sqrt(1.0 + t * t))
                 s = np.where(skip, 0.0, t * c)
-            # Two-sided rotation A <- J^T A J and V <- V J. The planes are
-            # disjoint, so all columns turn at once and then all rows: entry i
-            # of `plane` pairs with entry 2k-1-i, which is the reversed array,
-            # and new_p = c x_p - s x_q, new_q = c x_q + s x_p.
-            cos = np.concatenate((c, c[::-1]))
-            sin = np.concatenate((s, -s[::-1]))
-            cols = stacked[:, plane]
-            stacked[:, plane] = cos * cols - sin * cols[:, ::-1]
-            rows = a[plane, :]
-            a[plane, :] = cos[:, None] * rows - sin[:, None] * rows[::-1]
-            a[plane, plane[::-1]] = 0.0
-        # One sweep past the test: convergence is quadratic by then, so this
-        # takes the off-diagonal mass from tol * |A| to rounding level, and an
-        # eigenvector whose eigenvalue gap is g errs by ~eps |A| / g rather
-        # than by up to tol * |A| / g.
-        if converged:
-            break
+                # Two-sided rotation A <- J^T A J and V <- V J. The planes are
+                # disjoint, so all columns turn at once and then all rows: entry i
+                # of `plane` pairs with entry 2k-1-i, which is the reversed array,
+                # and new_p = c x_p - s x_q, new_q = c x_q + s x_p.
+                cos = np.concatenate((c, c[::-1]))
+                sin = np.concatenate((s, -s[::-1]))
+                cols = stacked[:, plane]
+                stacked[:, plane] = cos * cols - sin * cols[:, ::-1]
+                rows = a[plane, :]
+                a[plane, :] = cos[:, None] * rows - sin[:, None] * rows[::-1]
+                a[plane, plane[::-1]] = 0.0
+            # One sweep past the test: convergence is quadratic by then, so this
+            # takes the off-diagonal mass from tol * |A| to rounding level, and an
+            # eigenvector whose eigenvalue gap is g errs by ~eps |A| / g rather
+            # than by up to tol * |A| / g.
+            if converged:
+                break
     return _finish(np.diag(a), v)
 
 

@@ -12,14 +12,27 @@ optimizer settings under "optimizer", so the digest covers everything
 that decides the outputs and the flags alone replay the run. Timestamps live in their own field so that everything else
 in the file is reproducible byte for byte; diffing two manifests after
 dropping "timestamps" answers "same run?" directly.
+
+The digests are SHA-256 from CPython's built-in module (``_sha2`` on 3.12
+and later, ``_sha256`` before), as the standard library's ``random`` takes
+``_sha512``: importing ``hashlib`` loads OpenSSL, about 3.5 MB of a verify
+run's peak memory, for digests that are the same either way. ``hashlib``
+serves only an interpreter built without the module.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import json
 import time
+
+try:
+    from _sha2 import sha256
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 __all__ = [
     "RunManifest",
@@ -32,7 +45,7 @@ __all__ = [
 
 
 def sha256_file(path: str) -> str:
-    digest = hashlib.sha256()
+    digest = sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(65536), b""):
             digest.update(chunk)
@@ -52,13 +65,13 @@ def _input_digest(path: str) -> str:
         return sha256_file(path)
     del obj["timestamps"]
     canon = json.dumps(obj, sort_keys=True, indent=2) + "\n"
-    return hashlib.sha256(canon.encode()).hexdigest()
+    return sha256(canon.encode()).hexdigest()
 
 
 def config_hash(settings: dict) -> str:
     """Hash the effective key=value configuration, order-independent."""
     canon = "\n".join(f"{k}={settings[k]}" for k in sorted(settings))
-    return hashlib.sha256(canon.encode()).hexdigest()
+    return sha256(canon.encode()).hexdigest()
 
 
 @dataclasses.dataclass

@@ -2,12 +2,15 @@ import hashlib
 import json
 import os
 import re
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
-from kernelcontrast import contrastive, eigenfunctions, encoders
+import kernelcontrast
+from kernelcontrast import contrastive, eigenfunctions, encoders, manifest
 from kernelcontrast.cli import main
 from kernelcontrast.fileio import load_matrix_csv, save_matrix_csv, save_sym_csv
 from kernelcontrast.manifest import load_manifest
@@ -158,6 +161,22 @@ def test_bad_columns_spec_is_usage_error(tmp_path, capsys):
     code = main(["reduce", "--method", "pca", "--input", str(src),
                  "--columns", "zero", "--output", str(tmp_path / "o.csv")])
     assert code == 2
+
+
+def test_landmarks_outside_the_points_is_usage_error(tmp_path, capsys):
+    """--landmarks 0 and n + 1 are one usage error line each, naming the flag."""
+    roll = str(tmp_path / "roll.csv")
+    assert main(["gen", "swiss-roll", "--n", "20", "--output", roll]) == 0
+    capsys.readouterr()
+    for m in (0, 21):
+        out = tmp_path / f"feats{m}.csv"
+        code = main(["kernel-approx", "--method", "nystrom", "--landmarks", str(m),
+                     "--rank", "2", "--input", roll, "--output", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"kc: usage error: --landmarks must lie in [1, 20], the input points; got {m}\n"
+        )
+        assert not out.exists()
 
 
 def test_argparse_rejects_unknown_method(tmp_path):
@@ -732,6 +751,49 @@ def test_non_manifest_inputs_keep_their_file_digest(tmp_path):
     for manifest, path in ((out, roll), (str(tmp_path / "cond.json"), proc)):
         digest = load_manifest(manifest + ".manifest.json")["inputs"][path]
         assert digest == hashlib.sha256(open(path, "rb").read()).hexdigest()
+
+
+def test_digests_equal_hashlib(tmp_path):
+    """The built-in SHA-256 the manifests use gives hashlib's digests: on
+    an empty file, a file of several read chunks, a flag set, and a kc
+    manifest, which is hashed as its canonical JSON without timestamps."""
+    empty, big = tmp_path / "empty", tmp_path / "big"
+    empty.write_bytes(b"")
+    big.write_bytes(bytes(range(256)) * 700)
+    for path in (empty, big):
+        want = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert manifest.sha256_file(str(path)) == manifest._input_digest(str(path)) == want
+    flags = {"seed": 3, "method": "pca", "dims": 2}
+    canon = "dims=2\nmethod=pca\nseed=3"
+    assert manifest.config_hash(flags) == hashlib.sha256(canon.encode()).hexdigest()
+    roll = str(tmp_path / "roll.csv")
+    assert main(["gen", "swiss-roll", "--n", "25", "--output", roll]) == 0
+    gen = load_manifest(roll + ".manifest.json")
+    del gen["timestamps"]
+    canon = json.dumps(gen, sort_keys=True, indent=2) + "\n"
+    assert manifest._input_digest(roll + ".manifest.json") == (
+        hashlib.sha256(canon.encode()).hexdigest()
+    )
+
+
+def test_a_run_that_writes_a_manifest_loads_no_openssl(tmp_path):
+    """In a fresh interpreter, `kc verify` writes its report and manifest
+    without importing hashlib's OpenSSL module `_hashlib`."""
+    script = (
+        "import sys\n"
+        "from kernelcontrast.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        "print(code, '_hashlib' in sys.modules)\n"
+    )
+    out = str(tmp_path / "report.txt")
+    src = os.path.dirname(os.path.dirname(kernelcontrast.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", script, "verify", "classification",
+                           "--output", out], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.stdout.splitlines()[-1] == "0 False", proc.stderr
+    assert os.path.exists(out + ".manifest.json")
+
 
 
 # ------------------------------------------------- resolved options, replay

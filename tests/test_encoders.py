@@ -278,6 +278,47 @@ def test_minimize_accepts_a_rising_step_but_returns_the_lowest_loss():
     assert fit.grad_norm == np.sqrt(np.dot(grad, grad))
 
 
+def test_minimize_computes_a_gradient_only_for_accepted_trials():
+    """Given as a function, the gradient is computed for the start and for
+    each accepted step only. The run is the one the gradient array gives,
+    and `evaluations` still counts every loss evaluation, the rejected
+    line-search trials among them."""
+    scale = np.array([1.0, 10.0, 100.0, 1000.0])
+    computed = []
+
+    def eager(x):
+        return 0.5 * float(x @ (scale * x)), scale * x
+
+    def lazy(x):
+        loss, grad = eager(x)
+
+        def gradient():
+            computed.append(x)
+            return grad
+
+        return loss, gradient
+
+    cfg = OptimizerConfig(max_iter=60, tol=0.0)
+    want, got = minimize(eager, np.ones(4), cfg), minimize(lazy, np.ones(4), cfg)
+    assert len(computed) == got.iterations + 1 < got.evaluations
+    for name in ("x", "trace"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+    for name in ("iterations", "evaluations", "grad_norm", "stop_reason"):
+        assert getattr(got, name) == getattr(want, name), name
+
+
+def test_grad_check_takes_the_gradient_or_a_function_of_it():
+    def eager(params):
+        return float(np.sin(params).sum()), 1.1 * np.cos(params)
+
+    def lazy(params):
+        loss, grad = eager(params)
+        return loss, lambda: grad
+
+    params = np.array([0.3, -1.2, 2.0])
+    assert grad_check(lazy, params) == grad_check(eager, params) > 0.05
+
+
 # ------------------------------------------------- the optimizer in trainers
 
 
