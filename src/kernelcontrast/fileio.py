@@ -351,6 +351,8 @@ def load_matrix_csv(path: str) -> np.ndarray:
 
     Every value must be finite: ``nan`` and ``inf`` parse as floats but
     are rejected with the file and line, so no command computes on them.
+    So are Python's ``_`` digit separators, which `float` would accept:
+    ``1_0`` is a typo, not ten.
     """
     rows = []
     width = None
@@ -366,6 +368,9 @@ def load_matrix_csv(path: str) -> np.ndarray:
                 raise ParseError(
                     f"{path}:{lineno}: expected {width} fields, found {len(fields)}"
                 )
+            if "_" in line:
+                bad = next(f for f in fields if "_" in f)
+                raise ParseError(f"{path}:{lineno}: digit separator in {bad.strip()!r}")
             try:
                 row = [float(f) for f in fields]
             except ValueError as exc:

@@ -4,9 +4,9 @@ The package treats a kernel as a named recipe (`KernelSpec`) rather than a
 bare callable, so Gram construction can dispatch on the kind. The toolbox
 (PCA, MDS, ISOMAP, LLE, Laplacian eigenmaps, Nystrom) decomposes with
 `eigh`, which is LAPACK. The oracles (`mercer_decompose`, `low_rank_factor`,
-`is_psd`) use `jacobi_eigh`, a hand-rolled Jacobi iteration in round-robin
-(parallel) ordering, accurate to high relative precision, so no toolbox
-result is checked by its own eigensolver.
+`is_psd`) use `jacobi_eigh`, a hand-rolled Jacobi iteration in odd-even
+(Luk & Park 1989) parallel ordering on adjacent slots, accurate to high
+relative precision, so no toolbox result is checked by its own eigensolver.
 """
 
 from __future__ import annotations
@@ -116,26 +116,6 @@ def eigh(matrix) -> EigenDecomposition:
     return _finish(eigenvalues, vectors)
 
 
-def _round_robin(n: int) -> list[np.ndarray]:
-    """One Jacobi sweep in round-robin (Brent & Luk 1985) parallel order.
-
-    Indices 1..m-1 rotate past a fixed index 0, with m = n rounded up to
-    even, and each of the m - 1 rounds pairs seat i with seat m-1-i. Pairs
-    with the padded index n (odd n only) are dropped, so a round is
-    k = n // 2 disjoint planes and a sweep meets every plane once. A round
-    is one index array [p, reversed q], p < q: entries i and 2k-1-i span a
-    plane."""
-    m = n + n % 2
-    rounds = []
-    for r in range(m - 1):
-        seats = np.concatenate(([0], np.roll(np.arange(1, m), r)))
-        left, right = seats[: m // 2], seats[::-1][: m // 2]
-        p, q = np.minimum(left, right), np.maximum(left, right)
-        keep = q < n
-        rounds.append(np.concatenate((p[keep], q[keep][::-1])))
-    return rounds
-
-
 JACOBI_TOL = 1e-12  # relative off-diagonal convergence threshold
 JACOBI_MAX_SWEEPS = 60  # a safety cap: quadratic convergence needs far fewer
 
@@ -143,10 +123,12 @@ JACOBI_MAX_SWEEPS = 60  # a safety cap: quadratic convergence needs far fewer
 def jacobi_eigh(matrix) -> EigenDecomposition:
     """Jacobi eigendecomposition of a symmetric square matrix.
 
-    Sweeps rotate every (p, q) plane once, in round-robin (parallel)
-    ordering: each round rotates a set of disjoint planes together. Once
-    the off-diagonal Frobenius mass has dropped below ``JACOBI_TOL`` times
-    the Frobenius norm of the input, one more sweep runs and the iteration
+    Sweeps rotate every (p, q) plane once, in odd-even (Luk & Park 1989)
+    parallel ordering: round r rotates the adjacent slot pairs (j, j + 1)
+    with j = r (mod 2) together and then swaps the two slots of each pair,
+    so a sweep of n rounds meets every index pair once. Once the
+    off-diagonal Frobenius mass has dropped below ``JACOBI_TOL`` times the
+    Frobenius norm of the input, two more sweeps run and the iteration
     stops; RuntimeError if the test still fails after ``JACOBI_MAX_SWEEPS``
     sweeps. Eigenvalues come back sorted descending; each eigenvector
     column has its largest-magnitude entry made positive.
@@ -157,53 +139,71 @@ def jacobi_eigh(matrix) -> EigenDecomposition:
     stacked = np.vstack((a, np.eye(n)))
     a, v = stacked[:n], stacked[n:]
     threshold = JACOBI_TOL * float(np.linalg.norm(a))
-    rounds = _round_robin(n)
-    k = n // 2
+    flat = a.reshape(-1)
+    diag, upper, lower = flat[:: n + 1], flat[1 :: n + 1], flat[n :: n + 1]
+    # Per round parity, as views: the k pairs' diagonal and off-diagonal
+    # entries, their columns of A and V as (pair, row, 2) and their rows of
+    # A as (pair, 2, column); then work buffers, a 2 x 2 matrix per pair.
+    rounds = []
+    for first in (0, 1):
+        k = (n - first) // 2
+        end = first + 2 * k
+        p, q = slice(first, end, 2), slice(first + 1, end, 2)
+        cols = stacked[:, first:end].reshape(2 * n, k, 2).transpose(1, 0, 2)
+        rows = a[first:end].reshape(k, 2, n)
+        rounds.append((diag[p], diag[q], upper[p], lower[p], cols, rows,
+                       np.empty((k, 2, 2)), *np.empty((3, k))))
+    tiny = np.finfo(float).smallest_subnormal
 
-    # A zero pivot makes tau 0/0 or x/0; that plane keeps c = 1, s = 0. A
-    # subnormal pivot can overflow tau to inf, which gives t = 0: the
-    # rotation 1/(2 tau) is below the smallest float anyway. The state is
-    # entered once for the whole iteration and silences nothing else: the
-    # rotations keep the Frobenius norm, so the rest can overflow only when
-    # that norm does, and computing `threshold` has then warned already.
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for sweep in range(JACOBI_MAX_SWEEPS + 1):
+    def sweep(index: int) -> None:
+        """Rounds index * n to index * n + n - 1: parity alternates at odd n too."""
+        for r in range(index * n, (index + 1) * n):
+            app, aqq, apq, aqp, cols, rows, turn, d, two_apq, den = rounds[r % 2]
+            # Rutishauser's t = sign(d) 2 a_pq / (|d| + hypot(d, 2 a_pq)), d = a_qq -
+            # a_pp: |t| <= 1, no square to overflow. The hypot raised to the smallest
+            # subnormal keeps every positive value and makes a 0/0 pivot t = 0.
+            np.subtract(aqq, app, out=d)
+            np.add(apq, apq, out=two_apq)
+            np.hypot(d, two_apq, out=den)
+            np.maximum(den, tiny, out=den)
+            np.copysign(den, d, out=den)
+            den += d
+            s, c = turn[:, 0, 0], turn[:, 0, 1]
+            np.divide(two_apq, den, out=s)
+            np.hypot(1.0, s, out=c)
+            np.divide(1.0, c, out=c)
+            s *= c
+            # The rotation [[c, s], [-s, c]] followed by the swap of its two
+            # slots is the symmetric [[s, c], [c, -s]], so A <- J^T A J and
+            # V <- V J are one batched product on columns and one on rows,
+            # in place (NumPy buffers an output that overlaps an input).
+            turn[:, 1, 0] = c
+            np.negative(s, out=turn[:, 1, 1])
+            np.matmul(cols, turn, out=cols)
+            np.matmul(turn, rows, out=rows)
+            apq[...] = 0.0
+            aqp[...] = 0.0
+
+    # Rotations keep the Frobenius norm: only an input whose norm overflows,
+    # which computing `threshold` has then warned about, can overflow here.
+    with np.errstate(over="ignore"):
+        for index in range(JACOBI_MAX_SWEEPS + 1):
             off = np.sqrt(2.0 * np.square(np.triu(a, 1)).sum())
-            converged = off <= threshold
-            if sweep == JACOBI_MAX_SWEEPS and not converged:
+            if off <= threshold:
+                break
+            if index == JACOBI_MAX_SWEEPS:
                 raise RuntimeError(
                     f"Jacobi iteration failed to converge in {JACOBI_MAX_SWEEPS} sweeps "
                     f"(n={n}, residual {off:.3e} > {threshold:.3e})"
                 )
-            for plane in rounds:
-                p, q = plane[:k], plane[::-1][:k]
-                apq = a[p, q]
-                diag = a[plane, plane]
-                skip = apq == 0.0
-                tau = (diag[::-1][:k] - diag[:k]) / (2.0 * apq)
-                # hypot instead of sqrt(1 + tau^2): tau^2 overflows when the
-                # off-diagonal entry is many orders below the diagonal gap,
-                # and the rotation must still come out as ~1/(2 tau).
-                t = np.where(tau >= 0.0, 1.0, -1.0) / (np.abs(tau) + np.hypot(1.0, tau))
-                c = np.where(skip, 1.0, 1.0 / np.sqrt(1.0 + t * t))
-                s = np.where(skip, 0.0, t * c)
-                # Two-sided rotation A <- J^T A J and V <- V J. The planes are
-                # disjoint, so all columns turn at once and then all rows: entry i
-                # of `plane` pairs with entry 2k-1-i, which is the reversed array,
-                # and new_p = c x_p - s x_q, new_q = c x_q + s x_p.
-                cos = np.concatenate((c, c[::-1]))
-                sin = np.concatenate((s, -s[::-1]))
-                cols = stacked[:, plane]
-                stacked[:, plane] = cos * cols - sin * cols[:, ::-1]
-                rows = a[plane, :]
-                a[plane, :] = cos[:, None] * rows - sin[:, None] * rows[::-1]
-                a[plane, plane[::-1]] = 0.0
-            # One sweep past the test: convergence is quadratic by then, so this
-            # takes the off-diagonal mass from tol * |A| to rounding level, and an
-            # eigenvector whose eigenvalue gap is g errs by ~eps |A| / g rather
-            # than by up to tol * |A| / g.
-            if converged:
-                break
+            sweep(index)
+        # Two sweeps past the test: it bounds the off-diagonal mass by tol * |A|,
+        # which can leave the small corner of a graded matrix unconverged
+        # relative to its diagonal, and two quadratically convergent sweeps take
+        # every entry to rounding level; an eigenvector whose eigenvalue gap is g
+        # then errs by ~eps |A| / g rather than by up to tol * |A| / g.
+        sweep(index)
+        sweep(index + 1)
     return _finish(np.diag(a), v)
 
 

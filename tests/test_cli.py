@@ -73,6 +73,25 @@ def test_reduce_parse_error_exits_1(tmp_path, capsys):
     assert "pts.csv:1" in err
 
 
+def test_digit_separator_in_a_csv_exits_1(tmp_path, capsys):
+    src = tmp_path / "pts.csv"
+    src.write_text("1_0,2,3\n4,5,6\n")
+    out = tmp_path / "emb.csv"
+    code = main(["reduce", "--method", "pca", "--dim", "1",
+                 "--input", str(src), "--output", str(out)])
+    assert code == 1
+    assert "pts.csv:1: digit separator in '1_0'" in capsys.readouterr().err
+    assert not out.exists()
+    table = tmp_path / "k.csv"
+    table.write_text("1.0,0.5\n0.5,1.0\n")
+    weights = tmp_path / "w.csv"
+    weights.write_text("0_5,0.5\n")
+    code = main(["eigenfun", "--kernel", str(table), "--p", str(weights), "--dim", "1",
+                 "--output", str(tmp_path / "f.csv")])
+    assert code == 1
+    assert "w.csv:1: digit separator in '0_5'" in capsys.readouterr().err
+
+
 def test_reduce_non_finite_input_exits_1_without_output(tmp_path, capsys):
     src = tmp_path / "pts.csv"
     src.write_text("1.0,2.0\nnan,0.5\n3.0,1.0\n")

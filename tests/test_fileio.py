@@ -94,6 +94,15 @@ def test_matrix_csv_rejects_non_finite(tmp_path, token):
         load_matrix_csv(str(path))
 
 
+@pytest.mark.parametrize("token", ["1_0", "0_5", "1e1_0", "_1", " 2_5 "])
+def test_matrix_csv_rejects_digit_separators(tmp_path, token):
+    """float() reads "1_0" as 10; a CSV cell with an underscore is a typo."""
+    path = tmp_path / "bad.csv"
+    path.write_text(f"# comment\n1.0,2.0\n3.0,{token}\n")
+    with pytest.raises(ParseError, match=rf"bad\.csv:3: digit separator in '{token.strip()}'"):
+        load_matrix_csv(str(path))
+
+
 def test_matrix_csv_empty_file(tmp_path):
     path = tmp_path / "empty.csv"
     path.write_text("# nothing here\n")
@@ -128,6 +137,13 @@ def test_sym_csv_rejects_asymmetric_data(tmp_path):
     path = tmp_path / "s.csv"
     path.write_text("1.0,0.5\n0.9,1.0\n")
     with pytest.raises(ParseError, match="not symmetric"):
+        load_sym_csv(str(path))
+
+
+def test_sym_csv_rejects_digit_separators(tmp_path):
+    path = tmp_path / "s.csv"
+    path.write_text("# symmetric n=2\n1.0,0_5\n0.5,1.0\n")
+    with pytest.raises(ParseError, match=r"s\.csv:2: digit separator in '0_5'"):
         load_sym_csv(str(path))
 
 

@@ -162,6 +162,45 @@ def test_jacobi_refuses_a_matrix_unsettled_at_the_sweep_cap(monkeypatch):
         jacobi_eigh((g + g.T) / 2.0)
 
 
+def test_jacobi_settles_the_48_point_gaussian_table_within_ten_sweeps(monkeypatch):
+    """The `kc eigenfun` oracle on a 48-point Gaussian table (sorted uniform
+    points in [0, 6], sigma2 = 1, weights 1/48): the odd-even order passes
+    the off-diagonal test after 9 sweeps here, where the round-robin order
+    needed 11, so a cap of 10 leaves it room."""
+    monkeypatch.setattr(kernels, "JACOBI_MAX_SWEEPS", 10)
+    pts = np.sort(Stream(0).uniform(48, 0.0, 6.0))[:, None]
+    _, functions = mercer_decompose(gram(gaussian_kernel(1.0), pts), np.full(48, 1 / 48))
+    np.testing.assert_allclose(functions.T @ functions / 48, np.eye(48), atol=1e-12)
+
+
+def test_jacobi_zero_pivot_between_equal_diagonal_entries_stays_put():
+    """d = 0 and a_pq = 0 make Rutishauser's t a 0/0: the rotation must be
+    the identity, not a nan and not the 45-degree turn of t = 1."""
+    eig = jacobi_eigh(3.0 * np.eye(4))
+    np.testing.assert_array_equal(eig.eigenvalues, [3.0] * 4)
+    np.testing.assert_array_equal(np.sort(eig.eigenvectors, axis=1), [[0.0] * 3 + [1.0]] * 4)
+    # Both first-round pivots are such planes; the (0, 2) and (1, 3) planes
+    # then carry the spectrum of [[1, 0.5], [0.5, 2]] twice.
+    a = np.array([[1.0, 0.0, 0.5, 0.0], [0.0, 1.0, 0.0, 0.5],
+                  [0.5, 0.0, 2.0, 0.0], [0.0, 0.5, 0.0, 2.0]])
+    eig = jacobi_eigh(a)
+    root = math.sqrt(2.0) / 2.0
+    np.testing.assert_allclose(eig.eigenvalues, [1.5 + root] * 2 + [1.5 - root] * 2,
+                               rtol=0, atol=1e-15)
+    v = eig.eigenvectors
+    np.testing.assert_allclose((v * eig.eigenvalues) @ v.T, a, rtol=0, atol=1e-15)
+
+
+def test_jacobi_repeated_eigenvalue_identity_plus_rank_one():
+    """I + u u^T has eigenvalue 1 + |u|^2 on u and 1 on its complement."""
+    u = np.arange(1.0, 8.0) / 4.0
+    eig = jacobi_eigh(np.eye(7) + np.outer(u, u))
+    np.testing.assert_allclose(eig.eigenvalues, [1.0 + u @ u] + [1.0] * 6, rtol=2e-15)
+    np.testing.assert_allclose(eig.eigenvectors[:, 0], u / np.linalg.norm(u), atol=1e-15)
+    rest = eig.eigenvectors[:, 1:]
+    np.testing.assert_allclose(rest @ rest.T, np.eye(7) - np.outer(u, u) / (u @ u), atol=1e-15)
+
+
 @pytest.mark.parametrize("solver", [jacobi_eigh, eigh])
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_solvers_reject_non_finite_input(solver, bad):

@@ -1,12 +1,12 @@
 """The scalar loops the library replaced, kept here as oracles.
 
 `corpus_stats` counts co-occurrences with one ``np.bincount`` per window
-offset, and `jacobi_eigh` rotates the disjoint planes of each round-robin
-round in one array update. The double loop over (position, neighbour) and
-the row-major cyclic Jacobi they replaced live on below, unchanged, and the
-library must agree with them: bit for bit on the counts (integers held in
-float64), and to rounding on the eigendecomposition (the rotation order
-differs, so the floating-point path does too).
+offset, and `jacobi_eigh` rotates the disjoint adjacent-slot planes of each
+odd-even (Luk & Park 1989) round in one array update. The double loop over
+(position, neighbour) and the row-major cyclic Jacobi they replaced live on
+below, unchanged, and the library must agree with them: bit for bit on the
+counts (integers held in float64), and to rounding on the eigendecomposition
+(the rotation order differs, so the floating-point path does too).
 
 The neighbor graph is two dense arrays, its geodesics are Floyd-Warshall
 and its neighbour ranking is one stable ``argsort`` over every row. The
@@ -262,6 +262,41 @@ def test_jacobi_hard_cases_emit_no_warning(name):
     v = eig.eigenvectors
     np.testing.assert_allclose((v * eig.eigenvalues) @ v.T, a, rtol=0, atol=1e-13)
     np.testing.assert_allclose(v.T @ v, np.eye(a.shape[0]), atol=1e-14)
+
+
+@pytest.mark.parametrize("n", [1, 3, 5, 47])
+def test_jacobi_odd_orders_match_cyclic_order(n):
+    """At odd n one slot sits out each round, the last slot in even rounds
+    and the first in odd ones."""
+    g = np.random.default_rng(100 + n).standard_normal((n, n))
+    _assert_matches_cyclic((g + g.T) / 2.0)
+
+
+def _kms(n):
+    i = np.arange(n)
+    return 0.5 ** np.abs(i[:, None] - i[None, :])
+
+
+def _random_pd(n, seed):
+    rng = np.random.default_rng(seed)
+    q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    b = q @ np.diag(rng.uniform(1.0, 4.0, n)) @ q.T
+    return (b + b.T) / 2.0
+
+
+@pytest.mark.parametrize("b", [_kms(8), _random_pd(8, 5)], ids=["kms", "random-5"])
+def test_jacobi_graded_positive_definite_to_relative_precision(b):
+    """D B D with cond(B) < 9 and D spanning 7 decades has eigenvalues over
+    14 decades, each determined to a few eps relative (Demmel & Veselic
+    1992): both Jacobi orders must find them so, where an error of eps |A|
+    would swamp the smallest. On random-5 the off-diagonal test passes while
+    the small corner is still 1e-3 from converged relative to its diagonal;
+    one sweep past it left the smallest eigenvalue 5e-14 off."""
+    scale = np.logspace(0.0, -7.0, 8)
+    a = scale[:, None] * b * scale[None, :]
+    got, want = jacobi_eigh(a).eigenvalues, _cyclic_jacobi(a).eigenvalues
+    assert want[-1] / want[0] < 1e-13
+    np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
 
 
 # ------------------------------------------------------------ neighbor graph
